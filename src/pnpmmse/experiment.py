@@ -34,7 +34,15 @@ from .linear_model import (
     snr_db,
 )
 from .prior import BernoulliGaussianPrior, marginal_density, neg_log_marginal, sample_signal
-from .solvers import TraceOptions, gamp, lasso_ista, mm_surrogate, pnp_ista, soft_threshold
+from .solvers import (
+    TraceOptions,
+    gamp,
+    lasso_ista_grid,
+    mm_surrogate,
+    pnp_ista,
+    pnp_ista_grid,
+    soft_threshold,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -236,6 +244,12 @@ def _snr_only(interval: int) -> TraceOptions:
     return TraceOptions(objective=False, gradient=False, snr=True, interval=interval)
 
 
+def _best_final_snr(grid, traces):
+    """Grid value whose run ends at the highest SNR, and that run; the first on ties."""
+    best = int(np.argmax([trace.snr_db[-1] for trace in traces]))
+    return grid[best], traces[best]
+
+
 def _run_trial(config: ExperimentConfig, rate_index: int, trial: int, full_pnp_trace: bool) -> TrialOutcome:
     outcome = TrialOutcome(rate_index, trial)
     try:
@@ -245,21 +259,17 @@ def _run_trial(config: ExperimentConfig, rate_index: int, trial: int, full_pnp_t
         interval = config.trace_interval
 
         if "pnp" in config.solvers:
-            best = None
-            for sigma in config.sigma_grid:
-                trace = pnp_ista(
-                    problem,
-                    MmseDenoiser(prior, sigma),
-                    gamma,
-                    config.max_iter,
-                    _snr_only(interval),
-                    lipschitz=lipschitz,
-                    allow_large_step=override,
-                )
-                final = trace.snr_db[-1]
-                if best is None or final > best[0]:
-                    best = (final, sigma, trace)
-            _, sigma_star, trace = best
+            traces = pnp_ista_grid(
+                problem,
+                prior,
+                config.sigma_grid,
+                gamma,
+                config.max_iter,
+                _snr_only(interval),
+                lipschitz=lipschitz,
+                allow_large_step=override,
+            )
+            sigma_star, trace = _best_final_snr(config.sigma_grid, traces)
             if full_pnp_trace:
                 trace = pnp_ista(
                     problem,
@@ -275,22 +285,17 @@ def _run_trial(config: ExperimentConfig, rate_index: int, trial: int, full_pnp_t
 
         if "lasso" in config.solvers:
             lam_scale = float(np.max(np.abs(problem.operator.adjoint(problem.y))))
-            best = None
-            for rel in config.lambda_grid:
-                lam = rel * lam_scale
-                trace = lasso_ista(
-                    problem,
-                    lam,
-                    gamma,
-                    config.max_iter,
-                    TraceOptions(objective=True, gradient=False, snr=True, interval=interval),
-                    lipschitz=lipschitz,
-                    allow_large_step=override,
-                )
-                final = trace.snr_db[-1]
-                if best is None or final > best[0]:
-                    best = (final, lam, trace)
-            _, lam_star, trace = best
+            lams = [rel * lam_scale for rel in config.lambda_grid]
+            traces = lasso_ista_grid(
+                problem,
+                lams,
+                gamma,
+                config.max_iter,
+                TraceOptions(objective=True, gradient=False, snr=True, interval=interval),
+                lipschitz=lipschitz,
+                allow_large_step=override,
+            )
+            lam_star, trace = _best_final_snr(lams, traces)
             outcome.traces["lasso"] = trace
             outcome.selections["lasso"] = ("lambda", lam_star)
 

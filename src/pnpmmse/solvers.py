@@ -4,16 +4,19 @@ All solvers start from the zero vector, run a fixed number of iterations,
 and return a :class:`SolverTrace` with per-iteration records.  PnP-ISTA
 additionally evaluates the explicit objective (fidelity plus the induced
 regularizer) and its gradient along the trajectory, which is what the
-descent and stationarity checks consume.
+descent and stationarity checks consume.  PnP-ISTA and LASSO share one
+ISTA loop, which also runs a whole grid of parameter values as one block
+of iterates sharing each matrix product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .denoiser import InducedRegularizer, MmseDenoiser, posterior_moments
+from .denoiser import InducedRegularizer, MmseDenoiser, posterior_mean, posterior_moments
 from .errors import NumericalFailureError
 from .linear_model import (
     ProblemInstance,
@@ -29,8 +32,10 @@ __all__ = [
     "SolverTrace",
     "GampState",
     "pnp_ista",
+    "pnp_ista_grid",
     "soft_threshold",
     "lasso_ista",
+    "lasso_ista_grid",
     "gamp",
     "mm_surrogate",
 ]
@@ -92,15 +97,25 @@ class _Recorder:
     def due(self, t: int, max_iter: int) -> bool:
         return t % self.options.interval == 0 or t == max_iter
 
-    def build(self, x: np.ndarray, t: int, diverged: bool = False) -> SolverTrace:
+    def build(
+        self, x: np.ndarray, t: int, diverged: bool = False, column: int | None = None
+    ) -> SolverTrace:
+        """Trace of one run; ``column`` picks one run of a block whose records are rows."""
         opts = self.options
+
+        def series(values, enabled):
+            if not (enabled and values):
+                return None
+            values = np.asarray(values)
+            return values if column is None else values[:, column]
+
         return SolverTrace(
             iterations=np.asarray(self.iterations, dtype=int),
             final_iterate=x,
             iterations_run=t,
-            objective=np.asarray(self.objective) if opts.objective and self.objective else None,
-            grad_norm=np.asarray(self.grad_norm) if opts.gradient and self.grad_norm else None,
-            snr_db=np.asarray(self.snr) if opts.snr and self.snr else None,
+            objective=series(self.objective, opts.objective),
+            grad_norm=series(self.grad_norm, opts.gradient),
+            snr_db=series(self.snr, opts.snr),
             diverged=diverged,
         )
 
@@ -115,6 +130,120 @@ def _require_valid_step(gamma, problem, lipschitz):
             f"gamma={gamma} exceeds 1/L={1.0 / lipschitz:.6g}; "
             "pass allow_large_step=True to experiment outside the guaranteed region"
         )
+
+
+def _require_finite(x: np.ndarray, t: int) -> None:
+    if not np.all(np.isfinite(x)):
+        raise NumericalFailureError(f"non-finite iterate at iteration {t}", iteration=t)
+
+
+def _ista(problem, gamma, prox, penalty, width, max_iter, trace, lipschitz, allow_large_step, grad_rtol=None):
+    """The ISTA loop over an ``n x width`` block of iterates, one run per column.
+
+    Each column steps ``x <- prox(x - gamma * grad)`` from zero; ``prox``
+    maps the whole block, so each column may carry its own parameter.  One
+    forward and one adjoint product per iteration give ``R = H X - y`` and
+    ``G = H^T R`` at the new iterate, which serve both the record
+    (fidelity ``0.5*|R|^2``, gradient ``G + grad h``) and the next step.
+    ``penalty(X)`` returns the per-column regularizer values and gradients;
+    it runs only when the objective or the gradient is traced.  A column
+    that turns non-finite or breaks descent fails the whole block.
+    """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if not allow_large_step:
+        _require_valid_step(gamma, problem, lipschitz)
+    elif not gamma > 0.0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+
+    operator, y = problem.operator, problem.y[:, None]
+    rec = _Recorder(trace)
+    x = np.zeros((problem.n, width))
+
+    f_prev = None
+    f_scale = None
+    grad_ref = None
+
+    def residual_and_gradient(x):
+        r = operator.forward(x)
+        r -= y
+        return r, operator.adjoint(r)
+
+    def record(t, x, r, g):
+        nonlocal f_prev, f_scale, grad_ref
+        if trace.objective or trace.gradient:
+            h_val, h_grad = penalty(x)
+        rec.iterations.append(t)
+        if trace.objective:
+            f = 0.5 * np.einsum("ij,ij->j", r, r) + h_val
+            rec.objective.append(f)
+            if f_scale is None:
+                f_scale = np.maximum(np.abs(f), 1e-300)
+            elif not allow_large_step:
+                rises = np.flatnonzero(f > f_prev + MONOTONE_RTOL * f_scale)
+                if rises.size:
+                    j = rises[0]
+                    raise NumericalFailureError(
+                        f"objective increased at iteration {t}: {float(f_prev[j])} -> {float(f[j])}",
+                        iteration=t,
+                    )
+            f_prev = f
+        if trace.gradient:
+            gn = np.linalg.norm(g + h_grad, axis=0)
+            rec.grad_norm.append(gn)
+            if t >= 1 and grad_ref is None:
+                grad_ref = gn
+        if trace.snr:
+            rec.snr.append(np.array([snr_db(x[:, j], problem.x_true) for j in range(width)]))
+
+    r, g = residual_and_gradient(x)
+    record(0, x, r, g)
+    t = 0
+    for t in range(1, max_iter + 1):
+        z = x - gamma * g
+        _require_finite(z, t)
+        x = prox(z)
+        _require_finite(x, t)
+        r, g = residual_and_gradient(x)
+        if rec.due(t, max_iter):
+            record(t, x, r, g)
+            if grad_rtol is not None and grad_ref is not None:
+                if np.all(rec.grad_norm[-1] <= grad_rtol * grad_ref):
+                    break
+    return [rec.build(x[:, j].copy(), t, column=j) for j in range(width)]
+
+
+def pnp_ista_grid(
+    problem: ProblemInstance,
+    prior: BernoulliGaussianPrior,
+    sigmas: Sequence[float],
+    gamma: float,
+    max_iter: int = 500,
+    trace: TraceOptions = TraceOptions(),
+    *,
+    lipschitz: float | None = None,
+    allow_large_step: bool = False,
+    grad_rtol: float | None = None,
+) -> list[SolverTrace]:
+    """:func:`pnp_ista` at every denoiser level in ``sigmas`` as one block.
+
+    Returns one trace per level, in order.  The levels share each matrix
+    product, and the posterior mean takes one level per column, so each
+    trace equals the single-level run up to rounding.  Any level that
+    fails fails the call, and ``grad_rtol`` stops the block once every
+    level has met it.
+    """
+    denoisers = [MmseDenoiser(prior, sigma) for sigma in sigmas]
+    sigma_row = np.array([d.sigma for d in denoisers])
+
+    def penalty(x):
+        parts = [InducedRegularizer(d, gamma).value_and_gradient(x[:, j]) for j, d in enumerate(denoisers)]
+        return np.array([value for value, _ in parts]), np.column_stack([grad for _, grad in parts])
+
+    return _ista(
+        problem, gamma, lambda z: posterior_mean(prior, sigma_row, z), penalty, len(denoisers),
+        max_iter, trace, lipschitz, allow_large_step, grad_rtol,
+    )
 
 
 def pnp_ista(
@@ -136,72 +265,56 @@ def pnp_ista(
     a numerical failure if it is not; ``allow_large_step=True`` skips both
     the step-size check and that assertion.  ``grad_rtol`` enables an
     opt-in early stop once the traced gradient norm falls below
-    ``grad_rtol`` times its value at the first iteration.
+    ``grad_rtol`` times its value at the first iteration.  A fully traced
+    run costs one forward and one adjoint product per iteration, plus the
+    denoiser inversion at each record: the fidelity and its gradient come
+    from the products the next step needs anyway.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if not allow_large_step:
-        _require_valid_step(gamma, problem, lipschitz)
-    elif not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-
-    regularizer = InducedRegularizer(denoiser, gamma)
-    rec = _Recorder(trace)
-    x = np.zeros(problem.n)
-
-    f_prev = None
-    f_scale = None
-    grad_ref = None
-
-    def record(t, x):
-        nonlocal f_prev, f_scale, grad_ref
-        need_inverse = trace.objective or trace.gradient
-        if need_inverse:
-            h_val, h_grad = regularizer.value_and_gradient(x)
-        rec.iterations.append(t)
-        if trace.objective:
-            f = data_fidelity(problem, x) + h_val
-            rec.objective.append(f)
-            if f_scale is None:
-                f_scale = abs(f)
-            elif not allow_large_step and f > f_prev + MONOTONE_RTOL * max(f_scale, 1e-300):
-                raise NumericalFailureError(
-                    f"objective increased at iteration {t}: {f_prev} -> {f}", iteration=t
-                )
-            f_prev = f
-        if trace.gradient:
-            g = grad_data_fidelity(problem, x) + h_grad
-            gn = float(np.linalg.norm(g))
-            rec.grad_norm.append(gn)
-            if t >= 1 and grad_ref is None:
-                grad_ref = gn
-        if trace.snr:
-            rec.snr.append(snr_db(x, problem.x_true))
-
-    record(0, x)
-    t = 0
-    for t in range(1, max_iter + 1):
-        z = x - gamma * grad_data_fidelity(problem, x)
-        if not np.all(np.isfinite(z)):
-            raise NumericalFailureError(f"non-finite iterate at iteration {t}", iteration=t)
-        x = denoiser.denoise(z)
-        if not np.all(np.isfinite(x)):
-            raise NumericalFailureError(f"non-finite iterate at iteration {t}", iteration=t)
-        if rec.due(t, max_iter):
-            record(t, x)
-            if grad_rtol is not None and grad_ref is not None and rec.grad_norm:
-                if rec.grad_norm[-1] <= grad_rtol * grad_ref:
-                    break
-    return rec.build(x, t)
+    return pnp_ista_grid(
+        problem, denoiser.prior, (denoiser.sigma,), gamma, max_iter, trace,
+        lipschitz=lipschitz, allow_large_step=allow_large_step, grad_rtol=grad_rtol,
+    )[0]
 
 
 def soft_threshold(z, tau):
-    """Shrink toward zero by ``tau``: ``sign(z) * max(|z| - tau, 0)``."""
-    if not tau >= 0.0:
+    """Shrink toward zero by ``tau``: ``sign(z) * max(|z| - tau, 0)``.
+
+    ``tau`` may be an array broadcasting against ``z``, such as one
+    threshold per column of a block.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if not np.all(tau >= 0.0):
         raise ValueError(f"tau must be nonnegative, got {tau}")
     z = np.asarray(z, dtype=float)
     out = np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
     return float(out) if out.ndim == 0 else out
+
+
+def lasso_ista_grid(
+    problem: ProblemInstance,
+    lams: Sequence[float],
+    gamma: float,
+    max_iter: int = 500,
+    trace: TraceOptions = TraceOptions(objective=True, gradient=False, snr=True),
+    *,
+    lipschitz: float | None = None,
+    allow_large_step: bool = False,
+) -> list[SolverTrace]:
+    """:func:`lasso_ista` at every weight in ``lams`` as one block.
+
+    Returns one trace per weight, in order; the weights share each matrix
+    product and the soft threshold takes one ``gamma*lam`` per column.
+    """
+    for lam in lams:
+        if not lam > 0.0:
+            raise ValueError(f"lam must be positive, got {lam}")
+    lam_row = np.array(lams, dtype=float)
+    tau_row = gamma * lam_row
+    return _ista(
+        problem, gamma, lambda z: soft_threshold(z, tau_row),
+        lambda x: (lam_row * np.sum(np.abs(x), axis=0), None), len(lam_row),
+        max_iter, replace(trace, gradient=False), lipschitz, allow_large_step,
+    )
 
 
 def lasso_ista(
@@ -218,48 +331,11 @@ def lasso_ista(
 
     The proximal step is the componentwise soft threshold at ``gamma*lam``;
     the traced objective is ``0.5*|y - Hx|^2 + lam*|x|_1`` and is checked
-    to be nonincreasing under a valid step size.
+    to be nonincreasing under a valid step size.  No gradient is traced.
     """
-    if not lam > 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if not allow_large_step:
-        _require_valid_step(gamma, problem, lipschitz)
-    elif not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-
-    rec = _Recorder(trace)
-    x = np.zeros(problem.n)
-    f_prev = None
-    f_scale = None
-
-    def record(t, x):
-        nonlocal f_prev, f_scale
-        rec.iterations.append(t)
-        if trace.objective:
-            f = data_fidelity(problem, x) + lam * float(np.sum(np.abs(x)))
-            rec.objective.append(f)
-            if f_scale is None:
-                f_scale = abs(f)
-            elif not allow_large_step and f > f_prev + MONOTONE_RTOL * max(f_scale, 1e-300):
-                raise NumericalFailureError(
-                    f"objective increased at iteration {t}: {f_prev} -> {f}", iteration=t
-                )
-            f_prev = f
-        if trace.snr:
-            rec.snr.append(snr_db(x, problem.x_true))
-
-    record(0, x)
-    t = 0
-    for t in range(1, max_iter + 1):
-        z = x - gamma * grad_data_fidelity(problem, x)
-        if not np.all(np.isfinite(z)):
-            raise NumericalFailureError(f"non-finite iterate at iteration {t}", iteration=t)
-        x = soft_threshold(z, gamma * lam)
-        if rec.due(t, max_iter):
-            record(t, x)
-    return rec.build(x, t)
+    return lasso_ista_grid(
+        problem, (lam,), gamma, max_iter, trace, lipschitz=lipschitz, allow_large_step=allow_large_step
+    )[0]
 
 
 @dataclass

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pnpmmse import (
     BernoulliGaussianPrior,
@@ -11,6 +14,7 @@ from pnpmmse import (
     MmseDenoiser,
     gaussian_pdf,
     neg_log_marginal,
+    posterior_mean,
 )
 
 from oracles import brentq_invert, central_diff, grad_central_diff, quad_posterior_stats
@@ -73,6 +77,25 @@ class TestDenoise:
         d = MmseDenoiser(prior, sigma)
         values = d.denoise(wide_grid(prior, sigma, 801))
         assert np.all(np.diff(values) > 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.floats(1e-4, 1.0),
+        sigma_x=st.floats(1e-2, 1e2),
+        sigmas=st.lists(st.floats(1e-3, 1e2), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    def test_level_per_column_matches_single_level(self, alpha, sigma_x, sigmas, data):
+        # the batched PnP prox: column j at level sigmas[j] is that level's denoiser;
+        # |z| reaches 1e3 * (sigma_x + sigma), where the spike responsibility underflows
+        rows = data.draw(st.integers(1, 12))
+        u = data.draw(arrays(np.float64, (rows, len(sigmas)), elements=st.floats(-1e3, 1e3)))
+        prior = BernoulliGaussianPrior(alpha, sigma_x)
+        z = u * (sigma_x + np.array(sigmas))
+        batched = posterior_mean(prior, np.array(sigmas), z)
+        for j, sigma in enumerate(sigmas):
+            single = MmseDenoiser(prior, sigma).denoise(z[:, j])
+            np.testing.assert_allclose(batched[:, j], single, rtol=1e-14, atol=0.0)
 
 
 class TestPosteriorVariance:

@@ -1,9 +1,11 @@
 """Experiment driver: config handling, determinism, CSV schemas, validation."""
 
+import re
+
 import numpy as np
 import pytest
 
-from pnpmmse import ConfigurationError, experiment
+from pnpmmse import ConfigurationError, MmseDenoiser, TraceOptions, experiment, lasso_ista, pnp_ista
 from pnpmmse.cli import main
 from pnpmmse.experiment import (
     ROLE_MATRIX,
@@ -17,6 +19,7 @@ from pnpmmse.experiment import (
     trial_rng,
 )
 from pnpmmse.prior import BernoulliGaussianPrior, sample_signal
+from pnpmmse.solvers import lasso_ista_grid, pnp_ista_grid
 
 TINY = dict(
     seed=424242,
@@ -117,6 +120,66 @@ class TestSubseeds:
         )
         assert np.any(expected)
         np.testing.assert_array_equal(make_problem(config, 0, trial).x_true, expected)
+
+
+def first_best(grid, traces):
+    """The per-value selection rule: strictly higher final SNR replaces the best so far."""
+    best = None
+    for value, trace in zip(grid, traces):
+        if best is None or trace.snr_db[-1] > best[1]:
+            best = (value, trace.snr_db[-1])
+    return best[0]
+
+
+class TestBatchedGridSearch:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            tiny_config(measurement_rates=(0.3,)),
+            tiny_config(n=128, measurement_rates=(0.8,), max_iter=60),
+        ],
+        ids=["tiny", "m_above_half_n"],
+    )
+    def test_block_matches_single_value_runs(self, config):
+        problem = make_problem(config, 0, 0)
+        prior = BernoulliGaussianPrior(config.alpha)
+        gamma, _, lip = experiment._resolve_gamma(config, problem.operator)
+        lam_scale = float(np.max(np.abs(problem.operator.adjoint(problem.y))))
+        lams = [rel * lam_scale for rel in config.lambda_grid]
+        full = TraceOptions()
+        with_objective = TraceOptions(objective=True, gradient=False, snr=True)
+        pnp_block = pnp_ista_grid(problem, prior, config.sigma_grid, gamma, config.max_iter, full, lipschitz=lip)
+        pnp_single = [
+            pnp_ista(problem, MmseDenoiser(prior, s), gamma, config.max_iter, full, lipschitz=lip)
+            for s in config.sigma_grid
+        ]
+        lasso_block = lasso_ista_grid(problem, lams, gamma, config.max_iter, with_objective, lipschitz=lip)
+        lasso_single = [
+            lasso_ista(problem, lam, gamma, config.max_iter, with_objective, lipschitz=lip) for lam in lams
+        ]
+        for block, single in [(pnp_block, pnp_single), (lasso_block, lasso_single)]:
+            assert len(block) == len(single)
+            for b, s in zip(block, single):
+                assert b.iterations_run == s.iterations_run
+                np.testing.assert_array_equal(b.iterations, s.iterations)
+                np.testing.assert_allclose(b.snr_db, s.snr_db, rtol=0.0, atol=1e-9)
+                np.testing.assert_allclose(b.objective, s.objective, rtol=1e-9, atol=0.0)
+        for b, s in zip(pnp_block, pnp_single):
+            np.testing.assert_allclose(b.grad_norm, s.grad_norm, rtol=1e-9, atol=1e-9 * s.grad_norm[1])
+
+        outcome = experiment._run_trial(config, 0, 0, full_pnp_trace=False)
+        assert outcome.error is None
+        assert outcome.selections == {
+            "pnp": ("sigma", first_best(config.sigma_grid, pnp_single)),
+            "lasso": ("lambda", first_best(lams, lasso_single)),
+        }
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid", "ignore:divide by zero")
+    def test_diverging_block_fails_the_trial(self):
+        config = tiny_config(measurement_rates=(0.8,), gamma_policy=1e20)
+        outcome = experiment._run_trial(config, 0, 0, full_pnp_trace=False)
+        assert re.fullmatch(r"non-finite iterate at iteration \d+", outcome.error)
+        assert not outcome.selections
 
 
 class TestConvergenceExperiment:

@@ -44,10 +44,15 @@ class TestSoftThreshold:
         assert soft_threshold(3.0, 1.0) == 2.0
         assert soft_threshold(-0.5, 1.0) == 0.0
         assert soft_threshold(-3.0, 1.0) == -2.0
+        # one threshold per column of a block
+        block = soft_threshold(np.array([[3.0, 3.0], [-0.5, -3.0]]), np.array([1.0, 2.0]))
+        np.testing.assert_array_equal(block, [[2.0, 1.0], [0.0, -1.0]])
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold(1.0, -0.1)
+        with pytest.raises(ValueError):
+            soft_threshold(np.ones((3, 2)), np.array([0.5, -0.1]))
 
     def test_matches_grid_prox(self):
         rng = np.random.default_rng(0)
