@@ -62,8 +62,28 @@ def posterior_moments(prior: BernoulliGaussianPrior, sigma, z):
 
 
 def posterior_mean(prior: BernoulliGaussianPrior, sigma, z):
-    """Posterior mean of ``x`` given ``z = x + noise(sigma)``."""
-    return posterior_moments(prior, sigma, z)[0]
+    """Posterior mean of ``x`` given ``z = x + noise(sigma)``.
+
+    The same expression as the mean of :func:`posterior_moments`, without
+    the variance.
+    """
+    z = np.asarray(z, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    _, w_slab, _, s2, _ = _mixture_stats(prior, sigma, z)
+    return w_slab * (prior.sigma_x**2 / s2) * z
+
+
+def _induced_terms(prior: BernoulliGaussianPrior, sigma, gamma, x, u):
+    """Componentwise terms and gradient of the induced regularizer at ``x = D(u)``.
+
+    The terms are ``-(x - u)**2/(2*gamma) + (sigma**2/gamma) * nll(u)`` and
+    the gradient is ``(u - x)/gamma``, where ``u`` is the pre-image of ``x``
+    under the denoiser at level ``sigma``.  ``sigma`` may be one level per
+    column of a block.
+    """
+    nll = neg_log_marginal(prior, sigma, u)
+    terms = -0.5 / gamma * (x - u) ** 2 + sigma**2 / gamma * nll
+    return terms, (u - x) / gamma
 
 
 @dataclass(frozen=True)
@@ -209,15 +229,16 @@ class InducedRegularizer:
     def value_and_gradient(self, x) -> tuple[float, np.ndarray]:
         """Value and gradient from a single componentwise inversion.
 
-        The inversion dominates the cost, so callers that trace both along
-        a trajectory should use this instead of the two separate methods.
+        This is the route for an arbitrary ``x``, and the inversion
+        dominates its cost.  PnP-ISTA does not take it: its iterate is
+        ``D(z)`` with ``z`` at hand, so a traced record costs one
+        ``neg_log_marginal`` evaluation per component and no inversion.
         """
         x = np.asarray(x, dtype=float)
         d = self.denoiser
         u = np.asarray(d.invert(x))
-        nll = neg_log_marginal(d.prior, d.sigma, u)
-        terms = -0.5 / self.gamma * (x - u) ** 2 + d.sigma**2 / self.gamma * nll
-        return float(np.sum(terms)), (u - x) / self.gamma
+        terms, grad = _induced_terms(d.prior, d.sigma, self.gamma, x, u)
+        return float(np.sum(terms)), grad
 
     def value(self, x) -> float:
         return self.value_and_gradient(x)[0]

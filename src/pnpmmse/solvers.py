@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .denoiser import InducedRegularizer, MmseDenoiser, posterior_mean, posterior_moments
+from .denoiser import InducedRegularizer, MmseDenoiser, _induced_terms, posterior_mean, posterior_moments
 from .errors import NumericalFailureError
 from .linear_model import (
     ProblemInstance,
@@ -53,8 +53,10 @@ DIVERGENCE_PATIENCE = 10
 class TraceOptions:
     """What to record along a run and how often.
 
-    Objective and gradient tracing require scalar root-finds per component
-    per record, so sweeps that only need SNR should switch them off.
+    Objective and gradient tracing evaluate the regularizer at every
+    record; for PnP-ISTA that is one ``neg_log_marginal`` evaluation per
+    component and no inversion.  Sweeps that only need SNR can switch them
+    off.
     """
 
     objective: bool = True
@@ -145,9 +147,10 @@ def _ista(problem, gamma, prox, penalty, width, max_iter, trace, lipschitz, allo
     forward and one adjoint product per iteration give ``R = H X - y`` and
     ``G = H^T R`` at the new iterate, which serve both the record
     (fidelity ``0.5*|R|^2``, gradient ``G + grad h``) and the next step.
-    ``penalty(X)`` returns the per-column regularizer values and gradients;
-    it runs only when the objective or the gradient is traced.  A column
-    that turns non-finite or breaks descent fails the whole block.
+    ``penalty(X, Z)`` returns the per-column regularizer values and
+    gradients at ``X = prox(Z)``; it runs only when the objective or the
+    gradient is traced.  A column that turns non-finite or breaks descent
+    fails the whole block.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -169,10 +172,10 @@ def _ista(problem, gamma, prox, penalty, width, max_iter, trace, lipschitz, allo
         r -= y
         return r, operator.adjoint(r)
 
-    def record(t, x, r, g):
+    def record(t, x, z, r, g):
         nonlocal f_prev, f_scale, grad_ref
         if trace.objective or trace.gradient:
-            h_val, h_grad = penalty(x)
+            h_val, h_grad = penalty(x, z)
         rec.iterations.append(t)
         if trace.objective:
             f = 0.5 * np.einsum("ij,ij->j", r, r) + h_val
@@ -197,7 +200,8 @@ def _ista(problem, gamma, prox, penalty, width, max_iter, trace, lipschitz, allo
             rec.snr.append(np.array([snr_db(x[:, j], problem.x_true) for j in range(width)]))
 
     r, g = residual_and_gradient(x)
-    record(0, x, r, g)
+    # both proxes are odd, so the zero start is its own pre-image
+    record(0, x, x, r, g)
     t = 0
     for t in range(1, max_iter + 1):
         z = x - gamma * g
@@ -206,7 +210,7 @@ def _ista(problem, gamma, prox, penalty, width, max_iter, trace, lipschitz, allo
         _require_finite(x, t)
         r, g = residual_and_gradient(x)
         if rec.due(t, max_iter):
-            record(t, x, r, g)
+            record(t, x, z, r, g)
             if grad_rtol is not None and grad_ref is not None:
                 if np.all(rec.grad_norm[-1] <= grad_rtol * grad_ref):
                     break
@@ -233,15 +237,17 @@ def pnp_ista_grid(
     fails fails the call, and ``grad_rtol`` stops the block once every
     level has met it.
     """
-    denoisers = [MmseDenoiser(prior, sigma) for sigma in sigmas]
-    sigma_row = np.array([d.sigma for d in denoisers])
+    for sigma in sigmas:
+        if not sigma > 0.0:
+            raise ValueError(f"sigma must be positive, got {sigma}")
+    sigma_row = np.array(sigmas, dtype=float)
 
-    def penalty(x):
-        parts = [InducedRegularizer(d, gamma).value_and_gradient(x[:, j]) for j, d in enumerate(denoisers)]
-        return np.array([value for value, _ in parts]), np.column_stack([grad for _, grad in parts])
+    def penalty(x, z):
+        terms, grad = _induced_terms(prior, sigma_row, gamma, x, z)
+        return np.sum(terms, axis=0), grad
 
     return _ista(
-        problem, gamma, lambda z: posterior_mean(prior, sigma_row, z), penalty, len(denoisers),
+        problem, gamma, lambda z: posterior_mean(prior, sigma_row, z), penalty, len(sigma_row),
         max_iter, trace, lipschitz, allow_large_step, grad_rtol,
     )
 
@@ -266,9 +272,11 @@ def pnp_ista(
     the step-size check and that assertion.  ``grad_rtol`` enables an
     opt-in early stop once the traced gradient norm falls below
     ``grad_rtol`` times its value at the first iteration.  A fully traced
-    run costs one forward and one adjoint product per iteration, plus the
-    denoiser inversion at each record: the fidelity and its gradient come
-    from the products the next step needs anyway.
+    run costs one forward and one adjoint product per iteration, plus one
+    ``neg_log_marginal`` evaluation per component at each record: the
+    fidelity and its gradient come from the products the next step needs
+    anyway, and the regularizer is evaluated at the pre-denoise iterate,
+    which is the denoised iterate's pre-image, so no inversion runs.
     """
     return pnp_ista_grid(
         problem, denoiser.prior, (denoiser.sigma,), gamma, max_iter, trace,
@@ -312,7 +320,7 @@ def lasso_ista_grid(
     tau_row = gamma * lam_row
     return _ista(
         problem, gamma, lambda z: soft_threshold(z, tau_row),
-        lambda x: (lam_row * np.sum(np.abs(x), axis=0), None), len(lam_row),
+        lambda x, z: (lam_row * np.sum(np.abs(x), axis=0), None), len(lam_row),
         max_iter, replace(trace, gradient=False), lipschitz, allow_large_step,
     )
 

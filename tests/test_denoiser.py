@@ -15,7 +15,9 @@ from pnpmmse import (
     gaussian_pdf,
     neg_log_marginal,
     posterior_mean,
+    posterior_moments,
 )
+from pnpmmse.denoiser import _INVERT_TOL, _induced_terms
 
 from oracles import brentq_invert, central_diff, grad_central_diff, quad_posterior_stats
 
@@ -96,6 +98,8 @@ class TestDenoise:
         for j, sigma in enumerate(sigmas):
             single = MmseDenoiser(prior, sigma).denoise(z[:, j])
             np.testing.assert_allclose(batched[:, j], single, rtol=1e-14, atol=0.0)
+        # the mean alone is the mean of the moments, bit for bit
+        np.testing.assert_array_equal(batched, posterior_moments(prior, np.array(sigmas), z)[0])
 
 
 class TestPosteriorVariance:
@@ -285,6 +289,32 @@ class TestInducedRegularizer:
             )
             objective = 0.5 * (grid - z) ** 2 + gamma * h
             assert abs(grid[np.argmin(objective)] - center) <= 1e-4
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.floats(1e-4, 1.0),
+        sigma_x=st.floats(1e-2, 1e2),
+        sigma=st.floats(1e-3, 1e2),
+        gamma=st.floats(1e-3, 1e3),
+        data=st.data(),
+    )
+    def test_preimage_route_matches_inversion(self, alpha, sigma_x, sigma, gamma, data):
+        # PnP-ISTA evaluates the regularizer at x = D(z) with u = z, the pre-image it
+        # already holds; the class inverts x instead.  |z| spans 1e-3 to 1e2 * (sigma_x + sigma).
+        size = data.draw(st.integers(1, 6))
+        magnitude = data.draw(arrays(np.float64, size, elements=st.floats(1e-3, 1e2)))
+        sign = data.draw(arrays(np.float64, size, elements=st.sampled_from([-1.0, 1.0])))
+        prior = BernoulliGaussianPrior(alpha, sigma_x)
+        d = MmseDenoiser(prior, sigma)
+        z = sign * magnitude * (sigma_x + sigma)
+        x = d.denoise(z)
+        terms, grad = _induced_terms(prior, sigma, gamma, x, z)
+        value, grad_inverted = InducedRegularizer(d, gamma).value_and_gradient(x)
+        assert abs(float(np.sum(terms)) - value) <= 1e-12 * max(1.0, abs(value))
+        # the inverse misses z by at most its residual tolerance over the slope, which
+        # is large where the denoiser is flat
+        slack = 2.0 * _INVERT_TOL * np.maximum(1.0, np.abs(x)) / d.derivative(z)
+        assert np.all(np.abs(gamma * (grad - grad_inverted)) <= slack)
 
 
 class TestProxObjective:

@@ -99,6 +99,24 @@ class TestPnpIsta:
         diffs = np.diff(trace.objective)
         assert np.all(diffs <= 1e-9 * abs(trace.objective[0]))
         assert trace.grad_norm[-1] <= 1e-3 * trace.grad_norm[1]
+        # the traced objective, evaluated at the pre-denoise iterate, equals the
+        # objective through the denoiser inverse at the final iterate
+        x = trace.final_iterate
+        reg = InducedRegularizer(MmseDenoiser(prior, 0.2), 0.99 / lip)
+        assert trace.objective[-1] == pytest.approx(data_fidelity(problem, x) + reg.value(x), rel=1e-9)
+
+    def test_fully_traced_run_never_inverts(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        prior, problem = make_problem(rng, n=64, m=51)
+        lip = lipschitz_constant(problem.operator).value
+
+        def refuse(self, x):
+            raise AssertionError("the solver inverted the denoiser")
+
+        monkeypatch.setattr(MmseDenoiser, "invert", refuse)
+        trace = pnp_ista(problem, MmseDenoiser(prior, 0.2), 0.99 / lip, max_iter=50, lipschitz=lip)
+        assert trace.iterations_run == 50
+        assert np.all(np.isfinite(trace.objective)) and np.all(np.isfinite(trace.grad_norm))
 
     def test_fixed_point_consistency_at_convergence(self):
         rng = np.random.default_rng(4)
