@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,11 +37,12 @@ from .linear_model import (
 from .prior import BernoulliGaussianPrior, marginal_density, neg_log_marginal, sample_signal
 from .solvers import (
     TraceOptions,
+    _ista,
+    _lasso_group,
+    _pnp_group,
     gamp,
-    lasso_ista_grid,
     mm_surrogate,
     pnp_ista,
-    pnp_ista_grid,
     soft_threshold,
 )
 
@@ -137,15 +139,17 @@ class ExperimentConfig:
             raise ConfigurationError("sigma_grid must be nonempty when pnp is enabled")
         if "lasso" in self.solvers and not self.lambda_grid:
             raise ConfigurationError("lambda_grid must be nonempty when lasso is enabled")
-        if any(v <= 0 for v in self.sigma_grid) or any(v <= 0 for v in self.lambda_grid):
-            raise ConfigurationError("grid values must be positive")
+        if not all(0.0 < v < math.inf for v in self.sigma_grid + self.lambda_grid):
+            raise ConfigurationError("grid values must be positive and finite")
+        if not math.isfinite(self.input_snr_db):
+            raise ConfigurationError("input_snr_db must be finite")
         if not 0.0 < self.gamp_damping <= 1.0:
             raise ConfigurationError("gamp_damping must be in (0, 1]")
         if isinstance(self.gamma_policy, str):
             if self.gamma_policy != "auto":
                 raise ConfigurationError("gamma_policy must be 'auto' or a positive number")
-        elif not self.gamma_policy > 0.0:
-            raise ConfigurationError("explicit gamma must be positive")
+        elif not 0.0 < self.gamma_policy < math.inf:
+            raise ConfigurationError("explicit gamma must be positive and finite")
 
     @classmethod
     def from_dict(cls, values: dict) -> "ExperimentConfig":
@@ -258,46 +262,36 @@ def _run_trial(config: ExperimentConfig, rate_index: int, trial: int, full_pnp_t
         gamma, override, lipschitz = _resolve_gamma(config, problem.operator)
         interval = config.trace_interval
 
+        # each tuned solver's grid is one column group of a single ISTA block
+        grids = {}
         if "pnp" in config.solvers:
-            traces = pnp_ista_grid(
-                problem,
-                prior,
-                config.sigma_grid,
-                gamma,
-                config.max_iter,
-                _snr_only(interval),
-                lipschitz=lipschitz,
-                allow_large_step=override,
-            )
-            sigma_star, trace = _best_final_snr(config.sigma_grid, traces)
-            if full_pnp_trace:
-                trace = pnp_ista(
-                    problem,
-                    MmseDenoiser(prior, sigma_star),
-                    gamma,
-                    config.max_iter,
-                    TraceOptions(objective=True, gradient=True, snr=True, interval=interval),
-                    lipschitz=lipschitz,
-                    allow_large_step=override,
-                )
-            outcome.traces["pnp"] = trace
-            outcome.selections["pnp"] = ("sigma", sigma_star)
-
+            group = _pnp_group(prior, config.sigma_grid, gamma, _snr_only(interval))
+            grids["pnp"] = ("sigma", config.sigma_grid, group)
         if "lasso" in config.solvers:
             lam_scale = float(np.max(np.abs(problem.operator.adjoint(problem.y))))
             lams = [rel * lam_scale for rel in config.lambda_grid]
-            traces = lasso_ista_grid(
+            group = _lasso_group(
+                lams, gamma, TraceOptions(objective=True, gradient=False, snr=True, interval=interval)
+            )
+            grids["lasso"] = ("lambda", lams, group)
+        if grids:
+            blocks = _ista(
+                problem, gamma, [group for _, _, group in grids.values()], config.max_iter, lipschitz, override
+            )
+            for (solver, (name, grid, _)), traces in zip(grids.items(), blocks):
+                value, outcome.traces[solver] = _best_final_snr(grid, traces)
+                outcome.selections[solver] = (name, value)
+
+        if full_pnp_trace and "pnp" in grids:
+            outcome.traces["pnp"] = pnp_ista(
                 problem,
-                lams,
+                MmseDenoiser(prior, outcome.selections["pnp"][1]),
                 gamma,
                 config.max_iter,
-                TraceOptions(objective=True, gradient=False, snr=True, interval=interval),
+                TraceOptions(objective=True, gradient=True, snr=True, interval=interval),
                 lipschitz=lipschitz,
                 allow_large_step=override,
             )
-            lam_star, trace = _best_final_snr(lams, traces)
-            outcome.traces["lasso"] = trace
-            outcome.selections["lasso"] = ("lambda", lam_star)
 
         if "gamp" in config.solvers:
             outcome.traces["gamp"] = gamp(

@@ -50,7 +50,13 @@ class MeasurementOperator:
         return self.matrix @ x
 
     def adjoint(self, r: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ r
+        """``H^T r`` for a vector or for an ``m x K`` block, one vector per column.
+
+        Formed as ``(r^T H)^T``: the product then reads ``H`` in its stored
+        row-major order, which for a block is faster than ``H^T r`` through
+        the transposed matrix.  A block result is a column-major view.
+        """
+        return (r.T @ self.matrix).T
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,15 @@ and return a :class:`SolverTrace` with per-iteration records.  PnP-ISTA
 additionally evaluates the explicit objective (fidelity plus the induced
 regularizer) and its gradient along the trajectory, which is what the
 descent and stationarity checks consume.  PnP-ISTA and LASSO share one
-ISTA loop, which also runs a whole grid of parameter values as one block
-of iterates sharing each matrix product.
+ISTA loop.  It runs a block of iterates made of column groups, each group
+a grid of parameter values for one prox, and every column of the block
+shares each matrix product; a trial's denoiser-level grid and its
+LASSO-weight grid run as one such block.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -139,18 +141,35 @@ def _require_finite(x: np.ndarray, t: int) -> None:
         raise NumericalFailureError(f"non-finite iterate at iteration {t}", iteration=t)
 
 
-def _ista(problem, gamma, prox, penalty, width, max_iter, trace, lipschitz, allow_large_step, grad_rtol=None):
-    """The ISTA loop over an ``n x width`` block of iterates, one run per column.
+@dataclass(frozen=True)
+class _ColumnGroup:
+    """Adjacent columns of an ISTA block that share a prox, a penalty and a trace.
 
-    Each column steps ``x <- prox(x - gamma * grad)`` from zero; ``prox``
-    maps the whole block, so each column may carry its own parameter.  One
+    ``prox`` maps the group's ``n x width`` slice of pre-denoise iterates,
+    so each column may carry its own parameter; ``penalty(X, Z)`` returns
+    the per-column regularizer values and gradients at ``X = prox(Z)``.
+    """
+
+    prox: Callable[[np.ndarray], np.ndarray]
+    penalty: Callable[[np.ndarray, np.ndarray], tuple]
+    width: int
+    trace: TraceOptions
+
+
+def _ista(problem, gamma, groups, max_iter, lipschitz, allow_large_step, grad_rtol=None):
+    """The ISTA loop over one block of iterates, one run per column.
+
+    The block is the column groups side by side.  Each column steps
+    ``x <- prox(x - gamma * grad)`` from zero with its group's prox.  One
     forward and one adjoint product per iteration give ``R = H X - y`` and
-    ``G = H^T R`` at the new iterate, which serve both the record
-    (fidelity ``0.5*|R|^2``, gradient ``G + grad h``) and the next step.
-    ``penalty(X, Z)`` returns the per-column regularizer values and
-    gradients at ``X = prox(Z)``; it runs only when the objective or the
-    gradient is traced.  A column that turns non-finite or breaks descent
-    fails the whole block.
+    ``G = H^T R`` at the new iterate for every group at once, which serve
+    both the record (fidelity ``0.5*|R|^2``, gradient ``G + grad h``) and
+    the next step.  Each group records what its own ``TraceOptions`` asks
+    for; its penalty runs only when the objective or the gradient is
+    traced.  A column that turns non-finite or breaks descent fails the
+    whole block, and ``grad_rtol`` stops it only once every column traces
+    its gradient and has met the tolerance.  Returns one list of traces
+    per group, in order.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -160,29 +179,26 @@ def _ista(problem, gamma, prox, penalty, width, max_iter, trace, lipschitz, allo
         raise ValueError(f"gamma must be positive, got {gamma}")
 
     operator, y = problem.operator, problem.y[:, None]
-    rec = _Recorder(trace)
-    x = np.zeros((problem.n, width))
-
-    f_prev = None
-    f_scale = None
-    grad_ref = None
+    edges = np.cumsum([0] + [group.width for group in groups])
+    columns = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    recs = [_Recorder(group.trace) for group in groups]
+    x = np.zeros((problem.n, edges[-1]))
 
     def residual_and_gradient(x):
         r = operator.forward(x)
         r -= y
         return r, operator.adjoint(r)
 
-    def record(t, x, z, r, g):
-        nonlocal f_prev, f_scale, grad_ref
-        if trace.objective or trace.gradient:
-            h_val, h_grad = penalty(x, z)
+    def record_group(rec, group, t, x, z, r, g):
+        opts = rec.options
+        if opts.objective or opts.gradient:
+            h_val, h_grad = group.penalty(x, z)
         rec.iterations.append(t)
-        if trace.objective:
+        if opts.objective:
             f = 0.5 * np.einsum("ij,ij->j", r, r) + h_val
-            rec.objective.append(f)
-            if f_scale is None:
-                f_scale = np.maximum(np.abs(f), 1e-300)
-            elif not allow_large_step:
+            if rec.objective and not allow_large_step:
+                f_prev = rec.objective[-1]
+                f_scale = np.maximum(np.abs(rec.objective[0]), 1e-300)
                 rises = np.flatnonzero(f > f_prev + MONOTONE_RTOL * f_scale)
                 if rises.size:
                     j = rises[0]
@@ -190,14 +206,16 @@ def _ista(problem, gamma, prox, penalty, width, max_iter, trace, lipschitz, allo
                         f"objective increased at iteration {t}: {float(f_prev[j])} -> {float(f[j])}",
                         iteration=t,
                     )
-            f_prev = f
-        if trace.gradient:
-            gn = np.linalg.norm(g + h_grad, axis=0)
-            rec.grad_norm.append(gn)
-            if t >= 1 and grad_ref is None:
-                grad_ref = gn
-        if trace.snr:
-            rec.snr.append(np.array([snr_db(x[:, j], problem.x_true) for j in range(width)]))
+            rec.objective.append(f)
+        if opts.gradient:
+            rec.grad_norm.append(np.linalg.norm(g + h_grad, axis=0))
+        if opts.snr:
+            rec.snr.append(np.array([snr_db(column, problem.x_true) for column in x.T]))
+
+    def record(t, x, z, r, g):
+        for rec, group, cols in zip(recs, groups, columns):
+            if rec.due(t, max_iter):
+                record_group(rec, group, t, x[:, cols], z[:, cols], r[:, cols], g[:, cols])
 
     r, g = residual_and_gradient(x)
     # both proxes are odd, so the zero start is its own pre-image
@@ -206,15 +224,48 @@ def _ista(problem, gamma, prox, penalty, width, max_iter, trace, lipschitz, allo
     for t in range(1, max_iter + 1):
         z = x - gamma * g
         _require_finite(z, t)
-        x = prox(z)
+        x = np.concatenate([group.prox(z[:, cols]) for group, cols in zip(groups, columns)], axis=1)
         _require_finite(x, t)
         r, g = residual_and_gradient(x)
-        if rec.due(t, max_iter):
-            record(t, x, z, r, g)
-            if grad_rtol is not None and grad_ref is not None:
-                if np.all(rec.grad_norm[-1] <= grad_rtol * grad_ref):
-                    break
-    return [rec.build(x[:, j].copy(), t, column=j) for j in range(width)]
+        record(t, x, z, r, g)
+        # grad_norm[1] is each column's gradient norm at the first record after the start
+        if grad_rtol is not None and all(
+            len(rec.grad_norm) > 1 and np.all(rec.grad_norm[-1] <= grad_rtol * rec.grad_norm[1]) for rec in recs
+        ):
+            break
+    return [
+        [rec.build(xj.copy(), t, column=j) for j, xj in enumerate(x[:, cols].T)]
+        for rec, cols in zip(recs, columns)
+    ]
+
+
+def _pnp_group(prior, sigmas, gamma, trace):
+    """PnP-ISTA columns, one denoiser level per column."""
+    for sigma in sigmas:
+        if not sigma > 0.0:
+            raise ValueError(f"sigma must be positive, got {sigma}")
+    sigma_row = np.array(sigmas, dtype=float)
+
+    def penalty(x, z):
+        terms, grad = _induced_terms(prior, sigma_row, gamma, x, z)
+        return np.sum(terms, axis=0), grad
+
+    return _ColumnGroup(lambda z: posterior_mean(prior, sigma_row, z), penalty, len(sigma_row), trace)
+
+
+def _lasso_group(lams, gamma, trace):
+    """LASSO-ISTA columns, one weight per column; no gradient is traced."""
+    for lam in lams:
+        if not lam > 0.0:
+            raise ValueError(f"lam must be positive, got {lam}")
+    lam_row = np.array(lams, dtype=float)
+    tau_row = gamma * lam_row
+    return _ColumnGroup(
+        lambda z: soft_threshold(z, tau_row),
+        lambda x, z: (lam_row * np.sum(np.abs(x), axis=0), None),
+        len(lam_row),
+        replace(trace, gradient=False),
+    )
 
 
 def pnp_ista_grid(
@@ -237,19 +288,9 @@ def pnp_ista_grid(
     fails fails the call, and ``grad_rtol`` stops the block once every
     level has met it.
     """
-    for sigma in sigmas:
-        if not sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
-    sigma_row = np.array(sigmas, dtype=float)
-
-    def penalty(x, z):
-        terms, grad = _induced_terms(prior, sigma_row, gamma, x, z)
-        return np.sum(terms, axis=0), grad
-
     return _ista(
-        problem, gamma, lambda z: posterior_mean(prior, sigma_row, z), penalty, len(sigma_row),
-        max_iter, trace, lipschitz, allow_large_step, grad_rtol,
-    )
+        problem, gamma, [_pnp_group(prior, sigmas, gamma, trace)], max_iter, lipschitz, allow_large_step, grad_rtol
+    )[0]
 
 
 def pnp_ista(
@@ -313,16 +354,7 @@ def lasso_ista_grid(
     Returns one trace per weight, in order; the weights share each matrix
     product and the soft threshold takes one ``gamma*lam`` per column.
     """
-    for lam in lams:
-        if not lam > 0.0:
-            raise ValueError(f"lam must be positive, got {lam}")
-    lam_row = np.array(lams, dtype=float)
-    tau_row = gamma * lam_row
-    return _ista(
-        problem, gamma, lambda z: soft_threshold(z, tau_row),
-        lambda x, z: (lam_row * np.sum(np.abs(x), axis=0), None), len(lam_row),
-        max_iter, replace(trace, gradient=False), lipschitz, allow_large_step,
-    )
+    return _ista(problem, gamma, [_lasso_group(lams, gamma, trace)], max_iter, lipschitz, allow_large_step)[0]
 
 
 def lasso_ista(

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -28,6 +28,14 @@ SETTINGS = [
     (BernoulliGaussianPrior(0.9, 0.8), 0.05),
     (BernoulliGaussianPrior(1.0, 1.0), 0.37),
 ]
+
+
+@st.composite
+def levels_and_block(draw):
+    """Denoiser levels and a block of unit-free inputs with one column per level."""
+    sigmas = draw(st.lists(st.floats(1e-3, 1e2), min_size=1, max_size=6))
+    rows = draw(st.integers(1, 12))
+    return sigmas, draw(arrays(np.float64, (rows, len(sigmas)), elements=st.floats(-1e3, 1e3)))
 
 
 def wide_grid(prior, sigma, points=201):
@@ -84,14 +92,16 @@ class TestDenoise:
     @given(
         alpha=st.floats(1e-4, 1.0),
         sigma_x=st.floats(1e-2, 1e2),
-        sigmas=st.lists(st.floats(1e-3, 1e2), min_size=1, max_size=6),
-        data=st.data(),
+        levels=levels_and_block(),
     )
-    def test_level_per_column_matches_single_level(self, alpha, sigma_x, sigmas, data):
+    # a pure slab, whose spike responsibility is exactly zero
+    @example(alpha=1.0, sigma_x=1.0, levels=([0.05, 0.3, 2.0], np.array([[-4.0, 0.0, 0.5], [1e-3, 7.0, -2.0]])))
+    # |z| near 1e160, where z*z overflows
+    @example(alpha=0.05, sigma_x=1.0, levels=([0.01, 0.37], np.array([[1e160, -1e160], [-3e159, 0.2]])))
+    def test_level_per_column_matches_single_level(self, alpha, sigma_x, levels):
         # the batched PnP prox: column j at level sigmas[j] is that level's denoiser;
         # |z| reaches 1e3 * (sigma_x + sigma), where the spike responsibility underflows
-        rows = data.draw(st.integers(1, 12))
-        u = data.draw(arrays(np.float64, (rows, len(sigmas)), elements=st.floats(-1e3, 1e3)))
+        sigmas, u = levels
         prior = BernoulliGaussianPrior(alpha, sigma_x)
         z = u * (sigma_x + np.array(sigmas))
         batched = posterior_mean(prior, np.array(sigmas), z)

@@ -1,5 +1,6 @@
 """Experiment driver: config handling, determinism, CSV schemas, validation."""
 
+import math
 import re
 
 import numpy as np
@@ -19,6 +20,8 @@ from pnpmmse.experiment import (
     trial_rng,
 )
 from pnpmmse.prior import BernoulliGaussianPrior, sample_signal
+from pnpmmse import solvers
+from pnpmmse.linear_model import MeasurementOperator
 from pnpmmse.solvers import lasso_ista_grid, pnp_ista_grid
 
 TINY = dict(
@@ -58,6 +61,10 @@ class TestConfig:
             dict(gamma_policy=-0.5),
             dict(gamp_damping=0.0),
             dict(workers=0),
+            dict(sigma_grid=(math.inf,)),
+            dict(lambda_grid=(math.nan,)),
+            dict(input_snr_db=math.nan),
+            dict(gamma_policy=math.inf),
         ],
     )
     def test_invalid_configs_rejected(self, changes):
@@ -137,8 +144,10 @@ class TestBatchedGridSearch:
         [
             tiny_config(measurement_rates=(0.3,)),
             tiny_config(n=128, measurement_rates=(0.8,), max_iter=60),
+            tiny_config(measurement_rates=(0.3,), solvers=("pnp",)),
+            tiny_config(measurement_rates=(0.3,), solvers=("lasso",)),
         ],
-        ids=["tiny", "m_above_half_n"],
+        ids=["tiny", "m_above_half_n", "pnp_only", "lasso_only"],
     )
     def test_block_matches_single_value_runs(self, config):
         problem = make_problem(config, 0, 0)
@@ -157,22 +166,53 @@ class TestBatchedGridSearch:
         lasso_single = [
             lasso_ista(problem, lam, gamma, config.max_iter, with_objective, lipschitz=lip) for lam in lams
         ]
-        for block, single in [(pnp_block, pnp_single), (lasso_block, lasso_single)]:
+        # both grids as the two column groups of one block, as a trial runs them
+        groups = [
+            solvers._pnp_group(prior, config.sigma_grid, gamma, full),
+            solvers._lasso_group(lams, gamma, with_objective),
+        ]
+        pnp_joint, lasso_joint = solvers._ista(problem, gamma, groups, config.max_iter, lip, False)
+        for block, single in [
+            (pnp_block, pnp_single),
+            (lasso_block, lasso_single),
+            (pnp_joint, pnp_single),
+            (lasso_joint, lasso_single),
+        ]:
             assert len(block) == len(single)
             for b, s in zip(block, single):
                 assert b.iterations_run == s.iterations_run
                 np.testing.assert_array_equal(b.iterations, s.iterations)
                 np.testing.assert_allclose(b.snr_db, s.snr_db, rtol=0.0, atol=1e-9)
                 np.testing.assert_allclose(b.objective, s.objective, rtol=1e-9, atol=0.0)
-        for b, s in zip(pnp_block, pnp_single):
-            np.testing.assert_allclose(b.grad_norm, s.grad_norm, rtol=1e-9, atol=1e-9 * s.grad_norm[1])
+        for block in (pnp_block, pnp_joint):
+            for b, s in zip(block, pnp_single):
+                np.testing.assert_allclose(b.grad_norm, s.grad_norm, rtol=1e-9, atol=1e-9 * s.grad_norm[1])
+        for b in lasso_joint:
+            assert b.grad_norm is None
 
         outcome = experiment._run_trial(config, 0, 0, full_pnp_trace=False)
         assert outcome.error is None
-        assert outcome.selections == {
+        expected = {
             "pnp": ("sigma", first_best(config.sigma_grid, pnp_single)),
             "lasso": ("lambda", first_best(lams, lasso_single)),
         }
+        assert outcome.selections == {solver: expected[solver] for solver in config.solvers if solver in expected}
+
+    def test_both_grids_share_each_matrix_product(self, monkeypatch):
+        config = tiny_config(measurement_rates=(0.3,), solvers=("pnp", "lasso"))
+        block_products = {"forward": 0, "adjoint": 0}
+        for name in block_products:
+
+            def counted(self, v, _name=name, _original=getattr(MeasurementOperator, name)):
+                if np.ndim(v) == 2:
+                    block_products[_name] += 1
+                return _original(self, v)
+
+            monkeypatch.setattr(MeasurementOperator, name, counted)
+        outcome = experiment._run_trial(config, 0, 0, full_pnp_trace=False)
+        assert outcome.error is None
+        # one product each at the zero start and after every iteration
+        assert block_products == {"forward": config.max_iter + 1, "adjoint": config.max_iter + 1}
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid", "ignore:divide by zero")
     def test_diverging_block_fails_the_trial(self):
@@ -324,6 +364,16 @@ class TestCli:
         argv = ["converge", "--n", "16", "--alpha", "1e-12", "--trials", "1", "--rates", "0.8"]
         assert main(argv + ["--solvers", "pnp", "--out", str(tmp_path)]) == 3
         assert "3 signal draws at alpha=1e-12, n=16 were all zero" in caplog.text
+
+    def test_infinite_gamma_is_a_configuration_error(self, tmp_path):
+        argv = ["sweep", "--n", "16", "--trials", "1", "--rates", "0.5,0.8", "--max-iter", "5"]
+        assert main(argv + ["--gamma", "inf", "--out", str(tmp_path)]) == 2
+
+    def test_nan_grid_value_in_config_file_is_a_configuration_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n": 16, "trials": 1, "max_iter": 5, "lambda_grid": [0.01, NaN]}')
+        argv = ["sweep", "--config", str(cfg), "--rates", "0.5,0.8", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
 
     def test_bad_config_file_exit_code(self, tmp_path):
         cfg = tmp_path / "broken.json"
