@@ -31,10 +31,8 @@ from .prior import (
     neg_log_marginal_prime,
     neg_log_marginal_second,
     sample_signal,
-    slab_responsibility,
 )
 from .solvers import (
-    GampState,
     SolverTrace,
     TraceOptions,
     gamp,
@@ -47,7 +45,6 @@ from .solvers import (
 __all__ = [
     "BernoulliGaussianPrior",
     "ConfigurationError",
-    "GampState",
     "InducedRegularizer",
     "LipschitzEstimate",
     "MeasurementOperator",
@@ -75,7 +72,6 @@ __all__ = [
     "posterior_mean",
     "posterior_moments",
     "sample_signal",
-    "slab_responsibility",
     "snr_db",
     "soft_threshold",
 ]

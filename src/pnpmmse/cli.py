@@ -108,10 +108,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 raise ConfigurationError("--gamma must be 'auto' or a number") from exc
     if args.out is not None:
         values["output_dir"] = str(args.out)
-    try:
-        config = ExperimentConfig.from_dict(values)
-    except TypeError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    config = ExperimentConfig.from_dict(values)
     config.validate()
     return config
 

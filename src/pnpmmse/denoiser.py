@@ -15,10 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import NumericalFailureError
 from .prior import (
     BernoulliGaussianPrior,
+    _log_odds,
     _match_input_shape,
     _mixture_stats,
     _validated_finite,
@@ -51,7 +53,7 @@ def posterior_moments(prior: BernoulliGaussianPrior, sigma, z):
     """
     z = np.asarray(z, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    _, w_slab, w_spike, s2, v = _mixture_stats(prior, sigma, z)
+    w_slab, w_spike, s2, v = _mixture_stats(prior, sigma, z)
     c = prior.sigma_x**2 / s2
     mean = w_slab * c * z
     ww = w_slab * w_spike
@@ -64,13 +66,13 @@ def posterior_moments(prior: BernoulliGaussianPrior, sigma, z):
 def posterior_mean(prior: BernoulliGaussianPrior, sigma, z):
     """Posterior mean of ``x`` given ``z = x + noise(sigma)``.
 
-    The same expression as the mean of :func:`posterior_moments`, without
-    the variance.
+    The same expression as the mean of :func:`posterior_moments`, from the
+    log odds alone: no marginal density, no variance.
     """
     z = np.asarray(z, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    _, w_slab, _, s2, _ = _mixture_stats(prior, sigma, z)
-    return w_slab * (prior.sigma_x**2 / s2) * z
+    gap, s2, _ = _log_odds(prior, sigma, z)
+    return expit(-gap) * (prior.sigma_x**2 / s2) * z
 
 
 def _induced_terms(prior: BernoulliGaussianPrior, sigma, gamma, x, u):

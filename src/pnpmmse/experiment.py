@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import logging
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,6 +78,15 @@ def _log_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
     return tuple(float(v) for v in np.geomspace(lo, hi, count))
 
 
+# Types that a scalar config field's value must have, keyed by its annotation.
+_SCALAR_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+
+
+def _has_type(value, kind) -> bool:
+    # JSON's true and false load as bools, which Python also counts as ints
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; file values and CLI flags both land here.
@@ -106,12 +116,20 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        object.__setattr__(self, "measurement_rates", tuple(float(r) for r in self.measurement_rates))
         object.__setattr__(self, "solvers", tuple(str(s) for s in self.solvers))
-        object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
-        object.__setattr__(self, "sigma_grid", tuple(float(v) for v in self.sigma_grid))
+        for name in ("measurement_rates", "lambda_grid", "sigma_grid"):
+            values = tuple(getattr(self, name))
+            if not all(_has_type(v, numbers.Real) for v in values):
+                raise ConfigurationError(f"{name} entries must be numbers, got {list(values)!r}")
+            object.__setattr__(self, name, tuple(float(v) for v in values))
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type in _SCALAR_TYPES and not _has_type(value, _SCALAR_TYPES[f.type]):
+                raise ConfigurationError(f"{f.name} must be of type {f.type}, got {value!r}")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if self.n < 1:
             raise ConfigurationError("n must be >= 1")
         if not 0.0 < self.alpha <= 1.0:
@@ -148,7 +166,7 @@ class ExperimentConfig:
         if isinstance(self.gamma_policy, str):
             if self.gamma_policy != "auto":
                 raise ConfigurationError("gamma_policy must be 'auto' or a positive number")
-        elif not 0.0 < self.gamma_policy < math.inf:
+        elif not (_has_type(self.gamma_policy, numbers.Real) and 0.0 < self.gamma_policy < math.inf):
             raise ConfigurationError("explicit gamma must be positive and finite")
 
     @classmethod
@@ -157,7 +175,10 @@ class ExperimentConfig:
         unknown = set(values) - known
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**values)
+        try:
+            return cls(**values)
+        except TypeError as exc:
+            raise ConfigurationError(f"invalid config value: {exc}") from exc
 
     def replace(self, **changes) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes)
@@ -244,8 +265,9 @@ class TrialOutcome:
     error: str | None = None
 
 
-def _snr_only(interval: int) -> TraceOptions:
-    return TraceOptions(objective=False, gradient=False, snr=True, interval=interval)
+def _snr_trace(interval: int, objective: bool = False) -> TraceOptions:
+    """Trace the SNR, and the objective if asked; no CSV reads a gradient norm."""
+    return TraceOptions(objective=objective, gradient=False, snr=True, interval=interval)
 
 
 def _best_final_snr(grid, traces):
@@ -254,7 +276,11 @@ def _best_final_snr(grid, traces):
     return grid[best], traces[best]
 
 
-def _run_trial(config: ExperimentConfig, rate_index: int, trial: int, full_pnp_trace: bool) -> TrialOutcome:
+def _run_trial(config: ExperimentConfig, rate_index: int, trial: int, pnp_objective: bool) -> TrialOutcome:
+    """One ISTA block over the tuned solvers' grids, then message passing.
+
+    ``pnp_objective`` traces every denoiser level's objective in the block.
+    """
     outcome = TrialOutcome(rate_index, trial)
     try:
         problem = make_problem(config, rate_index, trial)
@@ -265,14 +291,12 @@ def _run_trial(config: ExperimentConfig, rate_index: int, trial: int, full_pnp_t
         # each tuned solver's grid is one column group of a single ISTA block
         grids = {}
         if "pnp" in config.solvers:
-            group = _pnp_group(prior, config.sigma_grid, gamma, _snr_only(interval))
+            group = _pnp_group(prior, config.sigma_grid, gamma, _snr_trace(interval, pnp_objective))
             grids["pnp"] = ("sigma", config.sigma_grid, group)
         if "lasso" in config.solvers:
             lam_scale = float(np.max(np.abs(problem.operator.adjoint(problem.y))))
             lams = [rel * lam_scale for rel in config.lambda_grid]
-            group = _lasso_group(
-                lams, gamma, TraceOptions(objective=True, gradient=False, snr=True, interval=interval)
-            )
+            group = _lasso_group(lams, gamma, _snr_trace(interval, objective=True))
             grids["lasso"] = ("lambda", lams, group)
         if grids:
             blocks = _ista(
@@ -282,20 +306,9 @@ def _run_trial(config: ExperimentConfig, rate_index: int, trial: int, full_pnp_t
                 value, outcome.traces[solver] = _best_final_snr(grid, traces)
                 outcome.selections[solver] = (name, value)
 
-        if full_pnp_trace and "pnp" in grids:
-            outcome.traces["pnp"] = pnp_ista(
-                problem,
-                MmseDenoiser(prior, outcome.selections["pnp"][1]),
-                gamma,
-                config.max_iter,
-                TraceOptions(objective=True, gradient=True, snr=True, interval=interval),
-                lipschitz=lipschitz,
-                allow_large_step=override,
-            )
-
         if "gamp" in config.solvers:
             outcome.traces["gamp"] = gamp(
-                problem, prior, config.max_iter, config.gamp_damping, _snr_only(interval)
+                problem, prior, config.max_iter, config.gamp_damping, _snr_trace(interval)
             )
     except ConfigurationError:
         raise
@@ -305,12 +318,12 @@ def _run_trial(config: ExperimentConfig, rate_index: int, trial: int, full_pnp_t
     return outcome
 
 
-def _run_trials(config: ExperimentConfig, rate_indices, full_pnp_trace: bool) -> list[TrialOutcome]:
+def _run_trials(config: ExperimentConfig, rate_indices, pnp_objective: bool) -> list[TrialOutcome]:
     tasks = [(ri, t) for ri in rate_indices for t in range(config.trials)]
 
     def run_one(task):
         ri, t = task
-        return _run_trial(config, ri, t, full_pnp_trace)
+        return _run_trial(config, ri, t, pnp_objective)
 
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
@@ -381,8 +394,9 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir: str | Path | N
     """Per-iteration normalized cost and SNR at a single measurement rate.
 
     For each trial the PnP denoiser level and the LASSO weight are chosen
-    by grid search maximizing that trial's final SNR; the winning PnP run
-    is then re-traced with the objective and gradient enabled.  Emits
+    by grid search maximizing that trial's final SNR.  The grids run as one
+    ISTA block that also traces the objective of every denoiser level, so
+    the cost trace is the winning level's column of that block.  Emits
     ``convergence_cost.csv``, ``convergence_snr.csv``, ``selections.csv``.
     """
     config.validate()
@@ -393,7 +407,7 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir: str | Path | N
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    outcomes = [o for o in _run_trials(config, [0], full_pnp_trace=True) if o.error is None]
+    outcomes = [o for o in _run_trials(config, [0], pnp_objective=True) if o.error is None]
 
     iter_grid = outcomes[0].traces["pnp"].iterations
     normalized = [o.traces["pnp"].objective / o.traces["pnp"].objective[0] for o in outcomes]
@@ -436,7 +450,7 @@ def run_rate_sweep(config: ExperimentConfig, out_dir: str | Path | None = None) 
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    outcomes = _run_trials(config, range(len(config.measurement_rates)), full_pnp_trace=False)
+    outcomes = _run_trials(config, range(len(config.measurement_rates)), pnp_objective=False)
     ok = [o for o in outcomes if o.error is None]
 
     records = []

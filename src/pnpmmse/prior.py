@@ -28,7 +28,6 @@ __all__ = [
     "neg_log_marginal",
     "neg_log_marginal_prime",
     "neg_log_marginal_second",
-    "slab_responsibility",
 ]
 
 
@@ -100,66 +99,75 @@ def _match_input_shape(out, *inputs):
     return out
 
 
-def _mixture_stats(prior, sigma, z):
-    """Shared log-domain quantities of the smoothed marginal.
+def _log_odds(prior, sigma, z):
+    """``(gap, s2, v)``: the log spike term minus the log slab term at ``z``.
 
-    Returns ``(log_pz, w_slab, w_spike, s2, v)`` where ``s2`` is the slab
-    channel variance ``sigma_x**2 + sigma**2``, ``v = sigma**2``, and the
-    ``w`` terms are the mixture responsibilities at ``z``.  Responsibilities
-    are computed through a logistic transform of the log-density gap, which
-    stays exact when one component underflows.
+    ``gap`` is ``-inf`` when ``alpha`` is 1; ``s2`` and ``v`` are as in
+    :func:`_mixture_stats`, and the slab responsibility is ``expit(-gap)``.
     """
     v = sigma**2
     s2 = prior.sigma_x**2 + v
+    if prior.alpha == 1.0:
+        shape = np.broadcast_shapes(np.shape(z), np.shape(sigma))
+        return np.full(shape, -np.inf), s2, v
+    with np.errstate(over="ignore"):
+        # assembled directly so that an overflowing z*z yields -inf rather
+        # than inf - inf
+        gap = (
+            math.log1p(-prior.alpha)
+            - math.log(prior.alpha)
+            + 0.5 * np.log(s2 / v)
+            - 0.5 * z * z * (1.0 / v - 1.0 / s2)
+        )
+    return gap, s2, v
+
+
+def _log_density(prior, sigma, z):
+    """Log density of the smoothed marginal at ``z``, from the log odds."""
+    gap, s2, _ = _log_odds(prior, sigma, z)
     with np.errstate(over="ignore"):
         log_slab = math.log(prior.alpha) - 0.5 * z * z / s2 - 0.5 * np.log(2.0 * np.pi * s2)
-        if prior.alpha == 1.0:
-            shape = np.broadcast_shapes(np.shape(z), np.shape(sigma))
-            gap = np.full(shape, -np.inf)
-        else:
-            # log spike term minus log slab term, assembled directly so that an
-            # overflowing z*z yields -inf rather than inf - inf.
-            gap = (
-                math.log1p(-prior.alpha)
-                - math.log(prior.alpha)
-                + 0.5 * np.log(s2 / v)
-                - 0.5 * z * z * (1.0 / v - 1.0 / s2)
-            )
-        w_slab = expit(-gap)
-        w_spike = expit(gap)
-        log_pz = log_slab + np.logaddexp(0.0, gap)
-    return log_pz, w_slab, w_spike, s2, v
+        return log_slab + np.logaddexp(0.0, gap)
+
+
+def _mixture_stats(prior, sigma, z):
+    """Mixture responsibilities of the smoothed marginal at ``z``.
+
+    Returns ``(w_slab, w_spike, s2, v)`` where ``s2`` is the slab channel
+    variance ``sigma_x**2 + sigma**2`` and ``v = sigma**2``.  The
+    responsibilities are a logistic transform of the log-density gap,
+    which stays exact when one component underflows.
+    """
+    gap, s2, v = _log_odds(prior, sigma, z)
+    return expit(-gap), expit(gap), s2, v
 
 
 def log_marginal(prior: BernoulliGaussianPrior, sigma, z):
     """Log density of the prior smoothed by noise of deviation ``sigma``."""
     sigma = _validated_sigma(sigma)
     z = _validated_finite(z)
-    log_pz, *_ = _mixture_stats(prior, sigma, z)
-    return _match_input_shape(log_pz, sigma, z)
+    return _match_input_shape(_log_density(prior, sigma, z), sigma, z)
 
 
 def marginal_density(prior: BernoulliGaussianPrior, sigma, z):
     """Density of the smoothed marginal: the slab-plus-noise and pure-noise mixture."""
     sigma = _validated_sigma(sigma)
     z = _validated_finite(z)
-    log_pz, *_ = _mixture_stats(prior, sigma, z)
-    return _match_input_shape(np.exp(log_pz), sigma, z)
+    return _match_input_shape(np.exp(_log_density(prior, sigma, z)), sigma, z)
 
 
 def neg_log_marginal(prior: BernoulliGaussianPrior, sigma, z):
     """Negative log density of the smoothed marginal."""
     sigma = _validated_sigma(sigma)
     z = _validated_finite(z)
-    log_pz, *_ = _mixture_stats(prior, sigma, z)
-    return _match_input_shape(-log_pz, sigma, z)
+    return _match_input_shape(-_log_density(prior, sigma, z), sigma, z)
 
 
 def neg_log_marginal_prime(prior: BernoulliGaussianPrior, sigma, z):
     """First derivative in ``z`` of the negative log smoothed density."""
     sigma = _validated_sigma(sigma)
     z = _validated_finite(z)
-    _, w_slab, w_spike, s2, v = _mixture_stats(prior, sigma, z)
+    w_slab, w_spike, s2, v = _mixture_stats(prior, sigma, z)
     out = z * (w_slab / s2 + w_spike / v)
     return _match_input_shape(out, sigma, z)
 
@@ -173,17 +181,9 @@ def neg_log_marginal_second(prior: BernoulliGaussianPrior, sigma, z):
     """
     sigma = _validated_sigma(sigma)
     z = _validated_finite(z)
-    _, w_slab, w_spike, s2, v = _mixture_stats(prior, sigma, z)
+    w_slab, w_spike, s2, v = _mixture_stats(prior, sigma, z)
     ww = w_slab * w_spike
     with np.errstate(over="ignore", invalid="ignore"):
         cross = np.where(ww == 0.0, 0.0, z * z * ww * (1.0 / v - 1.0 / s2) ** 2)
     out = w_slab / s2 + w_spike / v - cross
     return _match_input_shape(out, sigma, z)
-
-
-def slab_responsibility(prior: BernoulliGaussianPrior, sigma, z):
-    """Posterior probability that ``z`` came from the slab component."""
-    sigma = _validated_sigma(sigma)
-    z = _validated_finite(z)
-    _, w_slab, *_ = _mixture_stats(prior, sigma, z)
-    return _match_input_shape(w_slab, sigma, z)

@@ -32,7 +32,6 @@ from .prior import BernoulliGaussianPrior
 __all__ = [
     "TraceOptions",
     "SolverTrace",
-    "GampState",
     "pnp_ista",
     "pnp_ista_grid",
     "soft_threshold",
@@ -378,21 +377,6 @@ def lasso_ista(
     )[0]
 
 
-@dataclass
-class GampState:
-    """State of the message-passing solver.
-
-    ``x_hat`` and ``tau_x`` are the posterior mean and per-component
-    posterior variances of the denoiser block; ``r_prior`` and
-    ``prec_prior`` parametrize the extrinsic Gaussian message feeding it.
-    """
-
-    x_hat: np.ndarray
-    tau_x: np.ndarray
-    r_prior: np.ndarray
-    prec_prior: float
-
-
 _GAMP_SLOPE_EPS = 1e-12
 _GAMP_PREC_MIN = 1e-12
 _GAMP_PREC_MAX = 1e12
@@ -430,35 +414,33 @@ def gamp(
     eigvals = np.clip(eigvals, 0.0, None)
     data_modes = basis.T @ (h.T @ problem.y)
 
-    state = GampState(
-        x_hat=np.zeros(problem.n),
-        tau_x=np.full(problem.n, prior.variance),
-        r_prior=np.zeros(problem.n),
-        prec_prior=1.0 / prior.variance,
-    )
+    # x_hat is the denoiser block's posterior mean; r_prior and prec_prior
+    # parametrize the extrinsic Gaussian message feeding it
+    x_hat = np.zeros(problem.n)
+    r_prior = np.zeros(problem.n)
+    prec_prior = 1.0 / prior.variance
 
     rec = _Recorder(trace)
     rec.iterations.append(0)
     if trace.snr:
-        rec.snr.append(snr_db(state.x_hat, problem.x_true))
+        rec.snr.append(snr_db(x_hat, problem.x_true))
 
     best_snr = -np.inf
     below_peak = 0
     diverged = False
     t = 0
     for t in range(1, max_iter + 1):
-        v1 = 1.0 / state.prec_prior
-        x_hat, tau_x = posterior_moments(prior, np.sqrt(v1), state.r_prior)
+        v1 = 1.0 / prec_prior
+        x_hat, tau_x = posterior_moments(prior, np.sqrt(v1), r_prior)
         if not (np.all(np.isfinite(x_hat)) and np.all(np.isfinite(tau_x))):
             raise NumericalFailureError(f"non-finite state at iteration {t}", iteration=t)
         if np.any(tau_x < 0.0):
             raise NumericalFailureError(f"negative variance at iteration {t}", iteration=t)
         tau_x = np.maximum(tau_x, 1e-300)
-        state.x_hat, state.tau_x = x_hat, tau_x
 
         slope = min(max(float(np.mean(tau_x)) / v1, _GAMP_SLOPE_EPS), 1.0 - _GAMP_SLOPE_EPS)
-        prec_lik = state.prec_prior * (1.0 - slope) / slope
-        r_lik = (x_hat - slope * state.r_prior) / (1.0 - slope)
+        prec_lik = prec_prior * (1.0 - slope) / slope
+        r_lik = (x_hat - slope * r_prior) / (1.0 - slope)
 
         modes = basis.T @ r_lik
         denom = eigvals + se2 * prec_lik
@@ -470,20 +452,20 @@ def gamp(
         prec_new = prec_lik * (1.0 - slope_lik) / slope_lik
         prec_new = min(max(prec_new, _GAMP_PREC_MIN), _GAMP_PREC_MAX)
         r_new = (x_lmmse - slope_lik * r_lik) / (1.0 - slope_lik)
-        state.prec_prior = damping * prec_new + (1.0 - damping) * state.prec_prior
-        state.r_prior = damping * r_new + (1.0 - damping) * state.r_prior
+        prec_prior = damping * prec_new + (1.0 - damping) * prec_prior
+        r_prior = damping * r_new + (1.0 - damping) * r_prior
 
         if rec.due(t, max_iter):
             rec.iterations.append(t)
             if trace.snr:
-                current = snr_db(state.x_hat, problem.x_true)
+                current = snr_db(x_hat, problem.x_true)
                 rec.snr.append(current)
                 best_snr = max(best_snr, current)
                 below_peak = below_peak + 1 if current < best_snr - DIVERGENCE_DROP_DB else 0
                 if below_peak >= DIVERGENCE_PATIENCE:
                     diverged = True
                     break
-    return rec.build(state.x_hat, t, diverged=diverged)
+    return rec.build(x_hat, t, diverged=diverged)
 
 
 def mm_surrogate(

@@ -31,7 +31,6 @@ from pnpmmse import (
     data_fidelity,
     gamp,
     grad_data_fidelity,
-    lasso_ista,
     lipschitz_constant,
     mm_surrogate,
     neg_log_marginal,
@@ -40,6 +39,7 @@ from pnpmmse import (
 )
 from pnpmmse.cli import main as cli_main
 from pnpmmse.experiment import ExperimentConfig, make_problem, run_rate_sweep
+from pnpmmse.solvers import lasso_ista_grid, pnp_ista_grid
 
 from oracles import grad_central_diff
 
@@ -97,26 +97,13 @@ def tuned_finals(shared_instances):
     prior = BernoulliGaussianPrior(SHARED_SETTING["alpha"])
     pnp_scores, lasso_scores = [], []
     for problem, lip, gamma in shared_instances:
-        best = -np.inf
-        for sigma in np.geomspace(0.01, 0.37, 9):
-            trace = pnp_ista(
-                problem, MmseDenoiser(prior, sigma), gamma, 500, SNR_ONLY, lipschitz=lip
-            )
-            best = max(best, trace.snr_db[-1])
-        pnp_scores.append(best)
+        sigmas = np.geomspace(0.01, 0.37, 9)
+        traces = pnp_ista_grid(problem, prior, sigmas, gamma, 500, SNR_ONLY, lipschitz=lip)
+        pnp_scores.append(max(trace.snr_db[-1] for trace in traces))
         lam_scale = float(np.max(np.abs(problem.operator.adjoint(problem.y))))
-        best = -np.inf
-        for rel in np.geomspace(1e-4, 1.0, 15):
-            trace = lasso_ista(
-                problem,
-                rel * lam_scale,
-                gamma,
-                500,
-                TraceOptions(objective=False, gradient=False, snr=True),
-                lipschitz=lip,
-            )
-            best = max(best, trace.snr_db[-1])
-        lasso_scores.append(best)
+        lams = np.geomspace(1e-4, 1.0, 15) * lam_scale
+        traces = lasso_ista_grid(problem, lams, gamma, 500, SNR_ONLY, lipschitz=lip)
+        lasso_scores.append(max(trace.snr_db[-1] for trace in traces))
     return np.array(pnp_scores), np.array(lasso_scores)
 
 

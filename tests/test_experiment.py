@@ -1,12 +1,22 @@
 """Experiment driver: config handling, determinism, CSV schemas, validation."""
 
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 
-from pnpmmse import ConfigurationError, MmseDenoiser, TraceOptions, experiment, lasso_ista, pnp_ista
+from pnpmmse import (
+    ConfigurationError,
+    InducedRegularizer,
+    MmseDenoiser,
+    TraceOptions,
+    data_fidelity,
+    experiment,
+    lasso_ista,
+    pnp_ista,
+)
 from pnpmmse.cli import main
 from pnpmmse.experiment import (
     ROLE_MATRIX,
@@ -190,7 +200,7 @@ class TestBatchedGridSearch:
         for b in lasso_joint:
             assert b.grad_norm is None
 
-        outcome = experiment._run_trial(config, 0, 0, full_pnp_trace=False)
+        outcome = experiment._run_trial(config, 0, 0, pnp_objective=False)
         assert outcome.error is None
         expected = {
             "pnp": ("sigma", first_best(config.sigma_grid, pnp_single)),
@@ -198,7 +208,8 @@ class TestBatchedGridSearch:
         }
         assert outcome.selections == {solver: expected[solver] for solver in config.solvers if solver in expected}
 
-    def test_both_grids_share_each_matrix_product(self, monkeypatch):
+    @pytest.mark.parametrize("pnp_objective", [False, True], ids=["sweep", "converge"])
+    def test_one_block_per_trial(self, monkeypatch, pnp_objective):
         config = tiny_config(measurement_rates=(0.3,), solvers=("pnp", "lasso"))
         block_products = {"forward": 0, "adjoint": 0}
         for name in block_products:
@@ -209,15 +220,40 @@ class TestBatchedGridSearch:
                 return _original(self, v)
 
             monkeypatch.setattr(MeasurementOperator, name, counted)
-        outcome = experiment._run_trial(config, 0, 0, full_pnp_trace=False)
+        single_runs = []
+        for name in ("pnp_ista", "MmseDenoiser"):
+
+            def recorded(*args, _name=name, _original=getattr(experiment, name), **kwargs):
+                single_runs.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(experiment, name, recorded)
+        outcome = experiment._run_trial(config, 0, 0, pnp_objective)
         assert outcome.error is None
-        # one product each at the zero start and after every iteration
+        # one product each at the zero start and after every iteration, for both grids
         assert block_products == {"forward": config.max_iter + 1, "adjoint": config.max_iter + 1}
+        assert single_runs == []
+
+        trace = outcome.traces["pnp"]
+        assert trace.grad_norm is None
+        if not pnp_objective:
+            assert trace.objective is None
+            return
+        # the selected level's cost, starting from its value at the zero start
+        problem = make_problem(config, 0, 0)
+        gamma, _, _ = experiment._resolve_gamma(config, problem.operator)
+        sigma = outcome.selections["pnp"][1]
+        regularizer = InducedRegularizer(MmseDenoiser(BernoulliGaussianPrior(config.alpha), sigma), gamma)
+        zero = np.zeros(problem.n)
+        start = data_fidelity(problem, zero) + regularizer.value(zero)
+        assert len(trace.objective) == config.max_iter + 1
+        assert trace.objective[0] == pytest.approx(start, rel=1e-12)
+        assert np.all(np.diff(trace.objective) <= 1e-9 * abs(trace.objective[0]))
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid", "ignore:divide by zero")
     def test_diverging_block_fails_the_trial(self):
         config = tiny_config(measurement_rates=(0.8,), gamma_policy=1e20)
-        outcome = experiment._run_trial(config, 0, 0, full_pnp_trace=False)
+        outcome = experiment._run_trial(config, 0, 0, pnp_objective=False)
         assert re.fullmatch(r"non-finite iterate at iteration \d+", outcome.error)
         assert not outcome.selections
 
@@ -348,16 +384,44 @@ class TestCli:
 
     @pytest.mark.parametrize("error, exit_code", [(ValueError, 3), (ConfigurationError, 2)])
     def test_value_error_inside_trial(self, tmp_path, monkeypatch, caplog, error, exit_code):
-        def failing_pnp(*args, **kwargs):
+        def failing_block(*args, **kwargs):
             raise error("injected failure")
 
-        monkeypatch.setattr(experiment, "pnp_ista", failing_pnp)
+        monkeypatch.setattr(experiment, "_ista", failing_block)
         argv = ["converge", "--seed", "5", "--n", "16", "--alpha", "0.5", "--trials", "1"]
         argv += ["--rates", "0.8", "--solvers", "pnp", "--max-iter", "5", "--out", str(tmp_path)]
         code = main(argv)
         assert code == exit_code
         failed = "trial (rate_index=0, trial=0) failed: injected failure" in caplog.text
         assert failed == (error is ValueError)
+
+    @pytest.mark.parametrize(
+        "values, flags",
+        [
+            ({"n": "16"}, []),
+            ({"n": True}, []),
+            ({"input_snr_db": "20"}, []),
+            ({"trials": 1.5}, []),
+            ({"measurement_rates": ["a", 0.5]}, []),
+            ({"sigma_grid": ["0.1", 0.2]}, []),
+            ({"measurement_rates": [0.5, True]}, []),
+            ({"output_dir": 5}, []),
+            ({}, ["--seed", "-1"]),
+        ],
+        ids=[
+            "str_n", "bool_n", "str_snr", "float_trials", "str_rate", "str_sigma", "bool_rate",
+            "int_output_dir", "negative_seed",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["sweep", "validate"])
+    def test_malformed_config_value_is_a_configuration_error(
+        self, tmp_path, monkeypatch, capsys, command, values, flags
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 16, "trials": 1, "max_iter": 3, "measurement_rates": [0.5, 0.8], **values}))
+        assert main([command, "--config", str(cfg), *flags]) == 2
+        assert "configuration error:" in capsys.readouterr().err
 
     def test_signal_redraws_are_bounded(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setattr(experiment, "_MAX_SIGNAL_DRAWS", 3)
