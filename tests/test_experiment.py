@@ -208,9 +208,9 @@ class TestBatchedGridSearch:
         }
         assert outcome.selections == {solver: expected[solver] for solver in config.solvers if solver in expected}
 
-    @pytest.mark.parametrize("pnp_objective", [False, True], ids=["sweep", "converge"])
-    def test_one_block_per_trial(self, monkeypatch, pnp_objective):
-        config = tiny_config(measurement_rates=(0.3,), solvers=("pnp", "lasso"))
+    @staticmethod
+    def run_counted_trial(monkeypatch, config, pnp_objective):
+        """Run one trial, requiring one block product per iteration and no single-value PnP run."""
         block_products = {"forward": 0, "adjoint": 0}
         for name in block_products:
 
@@ -233,12 +233,18 @@ class TestBatchedGridSearch:
         # one product each at the zero start and after every iteration, for both grids
         assert block_products == {"forward": config.max_iter + 1, "adjoint": config.max_iter + 1}
         assert single_runs == []
+        assert outcome.traces["pnp"].grad_norm is None
+        return outcome
 
+    def test_both_grids_share_each_matrix_product(self, monkeypatch):
+        config = tiny_config(measurement_rates=(0.3,), solvers=("pnp", "lasso"))
+        outcome = self.run_counted_trial(monkeypatch, config, pnp_objective=False)
+        assert outcome.traces["pnp"].objective is None
+
+    def test_converge_block_traces_the_selected_level(self, monkeypatch):
+        config = tiny_config(measurement_rates=(0.3,), solvers=("pnp", "lasso"))
+        outcome = self.run_counted_trial(monkeypatch, config, pnp_objective=True)
         trace = outcome.traces["pnp"]
-        assert trace.grad_norm is None
-        if not pnp_objective:
-            assert trace.objective is None
-            return
         # the selected level's cost, starting from its value at the zero start
         problem = make_problem(config, 0, 0)
         gamma, _, _ = experiment._resolve_gamma(config, problem.operator)
