@@ -24,8 +24,6 @@ from .linear_model import (
 )
 from .prior import (
     BernoulliGaussianPrior,
-    gaussian_pdf,
-    log_marginal,
     marginal_density,
     neg_log_marginal,
     neg_log_marginal_prime,
@@ -57,12 +55,10 @@ __all__ = [
     "calibrate_noise_sigma",
     "data_fidelity",
     "gamp",
-    "gaussian_pdf",
     "generate_operator",
     "grad_data_fidelity",
     "lasso_ista",
     "lipschitz_constant",
-    "log_marginal",
     "marginal_density",
     "mm_surrogate",
     "neg_log_marginal",

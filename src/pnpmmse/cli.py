@@ -3,7 +3,8 @@
 Configuration precedence, lowest to highest: built-in defaults, the JSON
 file named by ``--config``, the ``--paper-scale`` preset (n=4096, 100
 trials), then individual flags.  Exit codes: 0 success, 1 validation
-failure, 2 configuration error, 3 numerical-failure budget exceeded.
+failure, 2 configuration error, 3 numerical-failure budget exceeded or a
+sweep rate at which every trial failed.
 """
 
 from __future__ import annotations
@@ -39,7 +40,11 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--solvers", type=str, help="comma-separated subset of pnp,lasso,gamp")
     sub.add_argument("--max-iter", type=int, dest="max_iter", help="iteration budget per run")
     sub.add_argument("--gamma", type=str, help="step-size policy: 'auto' or an explicit value")
-    sub.add_argument("--workers", type=int, help="trial worker threads")
+    sub.add_argument(
+        "--workers",
+        type=int,
+        help="trial worker threads (default 1); on 2 cores, 2 ran 32-38%% slower than 1",
+    )
     sub.add_argument(
         "--paper-scale",
         action="store_true",

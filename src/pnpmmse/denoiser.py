@@ -115,17 +115,11 @@ class MmseDenoiser:
         out = posterior_mean(self.prior, self.sigma, z)
         return _match_input_shape(out, z)
 
-    def denoise_scalar(self, z: float) -> float:
-        return float(self.denoise(float(z)))
-
     def posterior_variance(self, z):
         """Componentwise posterior variance of the denoising channel."""
         z = _validated_finite(z)
         out = posterior_moments(self.prior, self.sigma, z)[1]
         return _match_input_shape(out, z)
-
-    def posterior_variance_scalar(self, z: float) -> float:
-        return float(self.posterior_variance(float(z)))
 
     def derivative(self, z):
         """Slope of the denoiser, ``1 - sigma**2 * (d2/dz2)(-log p_z)``.
@@ -168,9 +162,6 @@ class MmseDenoiser:
             z[active] = self._invert_positive(a[active])
         out = np.sign(x) * z.reshape(np.shape(x))
         return _match_input_shape(out, x)
-
-    def invert_scalar(self, x: float) -> float:
-        return float(self.invert(float(x)))
 
     def _invert_positive(self, a: np.ndarray) -> np.ndarray:
         prior, sigma = self.prior, self.sigma

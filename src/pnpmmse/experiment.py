@@ -32,7 +32,6 @@ from .linear_model import (
     data_fidelity,
     generate_operator,
     grad_data_fidelity,
-    lipschitz_constant,
     snr_db,
 )
 from .prior import BernoulliGaussianPrior, marginal_density, neg_log_marginal, sample_signal
@@ -41,6 +40,7 @@ from .solvers import (
     _ista,
     _lasso_group,
     _pnp_group,
+    exceeds_step_bound,
     gamp,
     mm_surrogate,
     pnp_ista,
@@ -49,7 +49,6 @@ from .solvers import (
 
 __all__ = [
     "ExperimentConfig",
-    "AggregateRecord",
     "CheckResult",
     "ValidationReport",
     "run_convergence_experiment",
@@ -184,17 +183,6 @@ class ExperimentConfig:
         return dataclasses.replace(self, **changes)
 
 
-@dataclass(frozen=True)
-class AggregateRecord:
-    """Mean/min/max of one tracked quantity at one key (iteration or rate)."""
-
-    key: float
-    solver: str
-    mean: float
-    min: float
-    max: float
-
-
 def trial_rng(seed: int, rate_index: int, trial: int, role: int) -> np.random.Generator:
     """Independent generator for one (rate, trial, role) cell of the design."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(rate_index, trial, role))
@@ -244,16 +232,15 @@ def make_problem(config: ExperimentConfig, rate_index: int, trial: int) -> Probl
     )
 
 
-def _resolve_gamma(config: ExperimentConfig, operator: MeasurementOperator):
-    """Step size, whether it overrides the guaranteed region, and the estimate."""
-    estimate = lipschitz_constant(operator)
+def _resolve_gamma(config: ExperimentConfig, operator: MeasurementOperator) -> tuple[float, bool]:
+    """Step size and whether it overrides the guaranteed region."""
+    estimate = operator.lipschitz
     if not estimate.converged:
         log.warning("power iteration did not converge; using last estimate %.6g", estimate.value)
     if config.gamma_policy == "auto":
-        return 0.99 / estimate.value, False, estimate.value
+        return 0.99 / estimate.value, False
     gamma = float(config.gamma_policy)
-    override = gamma * estimate.value > 1.0 + 1e-12
-    return gamma, override, estimate.value
+    return gamma, exceeds_step_bound(gamma, operator)
 
 
 @dataclass
@@ -285,7 +272,7 @@ def _run_trial(config: ExperimentConfig, rate_index: int, trial: int, pnp_object
     try:
         problem = make_problem(config, rate_index, trial)
         prior = BernoulliGaussianPrior(config.alpha)
-        gamma, override, lipschitz = _resolve_gamma(config, problem.operator)
+        gamma, override = _resolve_gamma(config, problem.operator)
         interval = config.trace_interval
 
         # each tuned solver's grid is one column group of a single ISTA block
@@ -299,9 +286,7 @@ def _run_trial(config: ExperimentConfig, rate_index: int, trial: int, pnp_object
             group = _lasso_group(lams, gamma, _snr_trace(interval, objective=True))
             grids["lasso"] = ("lambda", lams, group)
         if grids:
-            blocks = _ista(
-                problem, gamma, [group for _, _, group in grids.values()], config.max_iter, lipschitz, override
-            )
+            blocks = _ista(problem, gamma, [group for _, _, group in grids.values()], config.max_iter, override)
             for (solver, (name, grid, _)), traces in zip(grids.items(), blocks):
                 value, outcome.traces[solver] = _best_final_snr(grid, traces)
                 outcome.selections[solver] = (name, value)
@@ -352,14 +337,12 @@ def _held_to_length(values: np.ndarray, length: int) -> np.ndarray:
     return np.concatenate([values, pad])
 
 
-def _aggregate_series(key_values, solver: str, series_by_trial) -> list[AggregateRecord]:
+def _aggregate_series(series_by_trial) -> list[tuple[float, float, float]]:
+    """Mean, min and max across trials at each record of equal-length series."""
     stacked = np.stack(series_by_trial)
-    means = stacked.mean(axis=0)
-    mins = stacked.min(axis=0)
-    maxs = stacked.max(axis=0)
     return [
-        AggregateRecord(float(key), solver, float(mu), float(lo), float(hi))
-        for key, mu, lo, hi in zip(key_values, means, mins, maxs)
+        (float(mu), float(lo), float(hi))
+        for mu, lo, hi in zip(stacked.mean(axis=0), stacked.min(axis=0), stacked.max(axis=0))
     ]
 
 
@@ -409,23 +392,19 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir: str | Path | N
 
     outcomes = [o for o in _run_trials(config, [0], pnp_objective=True) if o.error is None]
 
-    iter_grid = outcomes[0].traces["pnp"].iterations
+    iter_grid = [int(t) for t in outcomes[0].traces["pnp"].iterations]
     normalized = [o.traces["pnp"].objective / o.traces["pnp"].objective[0] for o in outcomes]
-    cost_rows = [
-        (int(r.key), r.mean, r.min, r.max)
-        for r in _aggregate_series(iter_grid, "pnp", normalized)
-    ]
+    cost_rows = [(t, *stats) for t, stats in zip(iter_grid, _aggregate_series(normalized))]
 
-    snr_records = []
+    snr_rows = []
     for solver in KNOWN_SOLVERS:
         if solver not in config.solvers:
             continue
         series = [
             _held_to_length(o.traces[solver].snr_db, len(iter_grid)) for o in outcomes
         ]
-        snr_records.extend(_aggregate_series(iter_grid, solver, series))
-    snr_records.sort(key=lambda r: (r.key, KNOWN_SOLVERS.index(r.solver)))
-    snr_rows = [(int(r.key), r.solver, r.mean, r.min, r.max) for r in snr_records]
+        snr_rows.extend((t, solver, *stats) for t, stats in zip(iter_grid, _aggregate_series(series)))
+    snr_rows.sort(key=lambda row: (row[0], KNOWN_SOLVERS.index(row[1])))
 
     paths = {
         "cost": out / "convergence_cost.csv",
@@ -442,7 +421,9 @@ def run_rate_sweep(config: ExperimentConfig, out_dir: str | Path | None = None) 
     """Final SNR of every enabled solver across measurement rates.
 
     All solvers within a (rate, trial) cell consume the identical problem
-    realization.  Emits ``rate_sweep.csv`` and ``selections.csv``.
+    realization.  A rate at which every trial failed has no row to write
+    and raises :class:`NumericalFailureError`, even within the failure
+    budget.  Emits ``rate_sweep.csv`` and ``selections.csv``.
     """
     config.validate()
     if len(config.measurement_rates) < 2:
@@ -453,19 +434,16 @@ def run_rate_sweep(config: ExperimentConfig, out_dir: str | Path | None = None) 
     outcomes = _run_trials(config, range(len(config.measurement_rates)), pnp_objective=False)
     ok = [o for o in outcomes if o.error is None]
 
-    records = []
+    rows = []
     for rate_index, rate in enumerate(config.measurement_rates):
         cell = [o for o in ok if o.rate_index == rate_index]
+        if not cell:
+            raise NumericalFailureError(f"every trial at rate {rate} failed numerically")
         for solver in KNOWN_SOLVERS:
             if solver not in config.solvers:
                 continue
             finals = [float(o.traces[solver].snr_db[-1]) for o in cell]
-            records.append(
-                AggregateRecord(
-                    rate, solver, float(np.mean(finals)), float(np.min(finals)), float(np.max(finals))
-                )
-            )
-    rows = [(r.key, r.solver, r.mean, r.min, r.max) for r in records]
+            rows.append((rate, solver, float(np.mean(finals)), float(np.min(finals)), float(np.max(finals))))
 
     paths = {"rates": out / "rate_sweep.csv", "selections": out / "selections.csv"}
     _write_csv(paths["rates"], RATE_HEADER, rows)
@@ -596,7 +574,7 @@ def run_validation_suite(
             gamma = rng.uniform(0.1, 1.0)
             z = rng.uniform(-4.0, 4.0)
             denoiser = MmseDenoiser(prior, sigma)
-            center = denoiser.denoise_scalar(z)
+            center = denoiser.denoise(z)
             grid = center + np.arange(-200, 201) * tol
             u = denoiser.invert(grid)
             h = -0.5 / gamma * (grid - u) ** 2 + sigma**2 / gamma * neg_log_marginal(
@@ -708,7 +686,7 @@ def run_validation_suite(
 
     def check_mm_sandwich(tol):
         prior, problem = _small_problem(config)
-        gamma, _, _ = _resolve_gamma(config.replace(gamma_policy="auto"), problem.operator)
+        gamma, _ = _resolve_gamma(config.replace(gamma_policy="auto"), problem.operator)
         denoiser = MmseDenoiser(prior, 0.3)
         reg = InducedRegularizer(denoiser, gamma)
         x = np.zeros(problem.n)
@@ -727,7 +705,7 @@ def run_validation_suite(
 
     def check_monotonicity(tol):
         prior, problem = _small_problem(config)
-        gamma, override, lipschitz = _resolve_gamma(config, problem.operator)
+        gamma, override = _resolve_gamma(config, problem.operator)
         if override:
             return "SKIP", "explicit gamma exceeds 1/L; descent is not guaranteed"
         trace = pnp_ista(
@@ -736,7 +714,6 @@ def run_validation_suite(
             gamma,
             max_iter=150,
             trace=TraceOptions(objective=True, gradient=False, snr=False),
-            lipschitz=lipschitz,
         )
         diffs = np.diff(trace.objective)
         worst = float(np.max(diffs)) if len(diffs) else 0.0
@@ -760,7 +737,7 @@ def run_validation_suite(
         worst = 0.0
         for m, n in [(20, 30), (30, 20), (25, 25)]:
             operator = generate_operator(m, n, rng_l)
-            estimate = lipschitz_constant(operator).value
+            estimate = operator.lipschitz.value
             exact = float(np.max(np.linalg.eigvalsh(operator.matrix.T @ operator.matrix)))
             worst = max(worst, abs(estimate - exact) / exact)
         status = "PASS" if worst < tol else "FAIL"

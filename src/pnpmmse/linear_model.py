@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +38,15 @@ class MeasurementOperator:
         if not np.all(np.isfinite(m)):
             raise ValueError("operator matrix must have finite entries")
         object.__setattr__(self, "matrix", m)
+
+    @cached_property
+    def lipschitz(self) -> LipschitzEstimate:
+        """:func:`lipschitz_constant` of this operator, computed on first use and kept.
+
+        The solvers read their step-size bound from here, so one operator
+        runs one power iteration however many solver calls share it.
+        """
+        return lipschitz_constant(self)
 
     @property
     def m(self) -> int:

@@ -22,8 +22,6 @@ from scipy.special import expit
 __all__ = [
     "BernoulliGaussianPrior",
     "sample_signal",
-    "gaussian_pdf",
-    "log_marginal",
     "marginal_density",
     "neg_log_marginal",
     "neg_log_marginal_prime",
@@ -69,14 +67,6 @@ def sample_signal(prior: BernoulliGaussianPrior, n: int, rng: np.random.Generato
     mask = rng.random(n) < prior.alpha
     slab = rng.normal(0.0, prior.sigma_x, n)
     return np.where(mask, slab, 0.0)
-
-
-def gaussian_pdf(sigma, x):
-    """Zero-mean Gaussian density with standard deviation ``sigma`` at ``x``."""
-    sigma = _validated_sigma(sigma)
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * (x / sigma) ** 2) / np.sqrt(2.0 * np.pi * sigma**2)
-    return _match_input_shape(out, x, sigma)
 
 
 def _validated_sigma(sigma):
@@ -140,13 +130,6 @@ def _mixture_stats(prior, sigma, z):
     """
     gap, s2, v = _log_odds(prior, sigma, z)
     return expit(-gap), expit(gap), s2, v
-
-
-def log_marginal(prior: BernoulliGaussianPrior, sigma, z):
-    """Log density of the prior smoothed by noise of deviation ``sigma``."""
-    sigma = _validated_sigma(sigma)
-    z = _validated_finite(z)
-    return _match_input_shape(_log_density(prior, sigma, z), sigma, z)
 
 
 def marginal_density(prior: BernoulliGaussianPrior, sigma, z):

@@ -20,13 +20,7 @@ import numpy as np
 
 from .denoiser import InducedRegularizer, MmseDenoiser, _induced_terms, posterior_mean, posterior_moments
 from .errors import NumericalFailureError
-from .linear_model import (
-    ProblemInstance,
-    data_fidelity,
-    grad_data_fidelity,
-    lipschitz_constant,
-    snr_db,
-)
+from .linear_model import MeasurementOperator, ProblemInstance, data_fidelity, grad_data_fidelity, snr_db
 from .prior import BernoulliGaussianPrior
 
 __all__ = [
@@ -123,16 +117,13 @@ class _Recorder:
         )
 
 
-def _require_valid_step(gamma, problem, lipschitz):
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if lipschitz is None:
-        lipschitz = lipschitz_constant(problem.operator).value
-    if gamma * lipschitz > 1.0 + 1e-12:
-        raise ValueError(
-            f"gamma={gamma} exceeds 1/L={1.0 / lipschitz:.6g}; "
-            "pass allow_large_step=True to experiment outside the guaranteed region"
-        )
+def exceeds_step_bound(gamma: float, operator: MeasurementOperator) -> bool:
+    """Whether ``gamma`` leaves the guaranteed region ``gamma <= 1/L`` of ``operator``.
+
+    ``L`` is the operator's kept estimate; the slack absorbs the rounding
+    of ``0.99 / L``-style step sizes.
+    """
+    return gamma * operator.lipschitz.value > 1.0 + 1e-12
 
 
 def _require_finite(x: np.ndarray, t: int) -> None:
@@ -155,7 +146,7 @@ class _ColumnGroup:
     trace: TraceOptions
 
 
-def _ista(problem, gamma, groups, max_iter, lipschitz, allow_large_step, grad_rtol=None):
+def _ista(problem, gamma, groups, max_iter, allow_large_step, grad_rtol=None):
     """The ISTA loop over one block of iterates, one run per column.
 
     The block is the column groups side by side.  Each column steps
@@ -172,10 +163,13 @@ def _ista(problem, gamma, groups, max_iter, lipschitz, allow_large_step, grad_rt
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if not allow_large_step:
-        _require_valid_step(gamma, problem, lipschitz)
-    elif not gamma > 0.0:
+    if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
+    if not allow_large_step and exceeds_step_bound(gamma, problem.operator):
+        raise ValueError(
+            f"gamma={gamma} exceeds 1/L={1.0 / problem.operator.lipschitz.value:.6g}; "
+            "pass allow_large_step=True to experiment outside the guaranteed region"
+        )
 
     operator, y = problem.operator, problem.y[:, None]
     edges = np.cumsum([0] + [group.width for group in groups])
@@ -275,7 +269,6 @@ def pnp_ista_grid(
     max_iter: int = 500,
     trace: TraceOptions = TraceOptions(),
     *,
-    lipschitz: float | None = None,
     allow_large_step: bool = False,
     grad_rtol: float | None = None,
 ) -> list[SolverTrace]:
@@ -287,9 +280,7 @@ def pnp_ista_grid(
     fails fails the call, and ``grad_rtol`` stops the block once every
     level has met it.
     """
-    return _ista(
-        problem, gamma, [_pnp_group(prior, sigmas, gamma, trace)], max_iter, lipschitz, allow_large_step, grad_rtol
-    )[0]
+    return _ista(problem, gamma, [_pnp_group(prior, sigmas, gamma, trace)], max_iter, allow_large_step, grad_rtol)[0]
 
 
 def pnp_ista(
@@ -299,13 +290,13 @@ def pnp_ista(
     max_iter: int = 500,
     trace: TraceOptions = TraceOptions(),
     *,
-    lipschitz: float | None = None,
     allow_large_step: bool = False,
     grad_rtol: float | None = None,
 ) -> SolverTrace:
     """Gradient step on the fidelity followed by the MMSE denoiser.
 
-    With a step size no larger than the reciprocal Lipschitz constant, the
+    With a step size no larger than the reciprocal Lipschitz constant,
+    read from the operator's kept estimate ``problem.operator.lipschitz``, the
     traced objective (fidelity plus induced regularizer at this ``gamma``)
     is checked to be nonincreasing at every record and the run aborts with
     a numerical failure if it is not; ``allow_large_step=True`` skips both
@@ -320,7 +311,7 @@ def pnp_ista(
     """
     return pnp_ista_grid(
         problem, denoiser.prior, (denoiser.sigma,), gamma, max_iter, trace,
-        lipschitz=lipschitz, allow_large_step=allow_large_step, grad_rtol=grad_rtol,
+        allow_large_step=allow_large_step, grad_rtol=grad_rtol,
     )[0]
 
 
@@ -345,7 +336,6 @@ def lasso_ista_grid(
     max_iter: int = 500,
     trace: TraceOptions = TraceOptions(objective=True, gradient=False, snr=True),
     *,
-    lipschitz: float | None = None,
     allow_large_step: bool = False,
 ) -> list[SolverTrace]:
     """:func:`lasso_ista` at every weight in ``lams`` as one block.
@@ -353,7 +343,7 @@ def lasso_ista_grid(
     Returns one trace per weight, in order; the weights share each matrix
     product and the soft threshold takes one ``gamma*lam`` per column.
     """
-    return _ista(problem, gamma, [_lasso_group(lams, gamma, trace)], max_iter, lipschitz, allow_large_step)[0]
+    return _ista(problem, gamma, [_lasso_group(lams, gamma, trace)], max_iter, allow_large_step)[0]
 
 
 def lasso_ista(
@@ -363,7 +353,6 @@ def lasso_ista(
     max_iter: int = 500,
     trace: TraceOptions = TraceOptions(objective=True, gradient=False, snr=True),
     *,
-    lipschitz: float | None = None,
     allow_large_step: bool = False,
 ) -> SolverTrace:
     """ISTA on the l1-regularized least-squares objective.
@@ -372,9 +361,7 @@ def lasso_ista(
     the traced objective is ``0.5*|y - Hx|^2 + lam*|x|_1`` and is checked
     to be nonincreasing under a valid step size.  No gradient is traced.
     """
-    return lasso_ista_grid(
-        problem, (lam,), gamma, max_iter, trace, lipschitz=lipschitz, allow_large_step=allow_large_step
-    )[0]
+    return lasso_ista_grid(problem, (lam,), gamma, max_iter, trace, allow_large_step=allow_large_step)[0]
 
 
 _GAMP_SLOPE_EPS = 1e-12

@@ -15,6 +15,11 @@ from scipy.optimize import brentq
 from pnpmmse import data_fidelity
 
 
+def gaussian_pdf(sigma, x):
+    """Zero-mean Gaussian density with standard deviation ``sigma`` at ``x``."""
+    return np.exp(-0.5 * (np.asarray(x, dtype=float) / sigma) ** 2) / np.sqrt(2.0 * np.pi * sigma**2)
+
+
 def _slab_integrand_factory(prior, sigma, z, power):
     sx = prior.sigma_x
 
@@ -71,9 +76,9 @@ def brentq_invert(denoiser, x):
     a = abs(x)
     lo = 0.0
     hi = a / denoiser.slab_gain
-    while denoiser.denoise_scalar(hi) < a:
+    while denoiser.denoise(hi) < a:
         hi *= 2.0
-    root = brentq(lambda z: denoiser.denoise_scalar(z) - a, lo, hi, xtol=1e-14, rtol=1e-15)
+    root = brentq(lambda z: denoiser.denoise(z) - a, lo, hi, xtol=1e-14, rtol=1e-15)
     return root if x > 0 else -root
 
 

@@ -75,8 +75,7 @@ def shared_instances():
     out = []
     for trial in range(config.trials):
         problem = make_problem(config, 0, trial)
-        lip = lipschitz_constant(problem.operator).value
-        out.append((problem, lip, 0.99 / lip))
+        out.append((problem, 0.99 / problem.operator.lipschitz.value))
     return out
 
 
@@ -86,8 +85,8 @@ def descent_runs(shared_instances):
     denoiser_level = 0.1
     start = time.time()
     traces = [
-        pnp_ista(problem, MmseDenoiser(prior, denoiser_level), gamma, 500, lipschitz=lip)
-        for problem, lip, gamma in shared_instances
+        pnp_ista(problem, MmseDenoiser(prior, denoiser_level), gamma, 500)
+        for problem, gamma in shared_instances
     ]
     return traces, time.time() - start
 
@@ -96,13 +95,13 @@ def descent_runs(shared_instances):
 def tuned_finals(shared_instances):
     prior = BernoulliGaussianPrior(SHARED_SETTING["alpha"])
     pnp_scores, lasso_scores = [], []
-    for problem, lip, gamma in shared_instances:
+    for problem, gamma in shared_instances:
         sigmas = np.geomspace(0.01, 0.37, 9)
-        traces = pnp_ista_grid(problem, prior, sigmas, gamma, 500, SNR_ONLY, lipschitz=lip)
+        traces = pnp_ista_grid(problem, prior, sigmas, gamma, 500, SNR_ONLY)
         pnp_scores.append(max(trace.snr_db[-1] for trace in traces))
         lam_scale = float(np.max(np.abs(problem.operator.adjoint(problem.y))))
         lams = np.geomspace(1e-4, 1.0, 15) * lam_scale
-        traces = lasso_ista_grid(problem, lams, gamma, 500, SNR_ONLY, lipschitz=lip)
+        traces = lasso_ista_grid(problem, lams, gamma, 500, SNR_ONLY)
         lasso_scores.append(max(trace.snr_db[-1] for trace in traces))
     return np.array(pnp_scores), np.array(lasso_scores)
 
@@ -163,7 +162,7 @@ def test_criterion_02_prox_equivalence():
         u = u[np.abs(u - z) > 1e-3]  # keep the strict comparison above rounding noise
         assert np.all(reg.prox_objective(u, z) > phi_center)
 
-        center = denoiser.denoise_scalar(z)
+        center = denoiser.denoise(z)
         grid = center + np.arange(-200, 201) * 1e-4
         inv = denoiser.invert(grid)
         # induced regularizer, elementwise

@@ -12,14 +12,13 @@ from pnpmmse import (
     BernoulliGaussianPrior,
     InducedRegularizer,
     MmseDenoiser,
-    gaussian_pdf,
     neg_log_marginal,
     posterior_mean,
     posterior_moments,
 )
 from pnpmmse.denoiser import _INVERT_TOL, _induced_terms
 
-from oracles import brentq_invert, central_diff, grad_central_diff, quad_posterior_stats
+from oracles import brentq_invert, central_diff, gaussian_pdf, grad_central_diff, quad_posterior_stats
 
 SETTINGS = [
     (BernoulliGaussianPrior(0.2), 0.5),
@@ -43,22 +42,56 @@ def wide_grid(prior, sigma, points=201):
     return np.linspace(-half, half, points)
 
 
+# The whole parameter space of the channel; the input is z = u * (sigma_x + sigma).
+CHANNELS = dict(
+    alpha=st.floats(1e-4, 1.0),
+    sigma_x=st.floats(1e-2, 1e2),
+    sigma=st.floats(1e-3, 1e2),
+    u=st.floats(-1e3, 1e3),
+)
+# Cases the five fixed settings miss.
+CHANNEL_EXAMPLES = [
+    # deep in the tail: the spike responsibility underflows to exactly zero
+    dict(alpha=0.05, sigma_x=1.0, sigma=0.01, u=50.0),
+    # the flattest slope, about 1e-12: a rare, narrow slab under wide noise, at the origin
+    dict(alpha=1e-4, sigma_x=1e-2, sigma=1e2, u=0.0),
+    # a rare, wide slab under narrow noise near the origin: slab responsibility about 1e-9
+    dict(alpha=1e-4, sigma_x=1e2, sigma=1e-3, u=1e-6),
+    # both responsibilities one half
+    dict(alpha=0.2, sigma_x=math.sqrt(5.0), sigma=0.5, u=0.4516390155562553),
+    # a pure slab far out, beyond where the fixed grids reach
+    dict(alpha=1.0, sigma_x=1e-2, sigma=1e2, u=-1e3),
+]
+
+
+def over_channels(test):
+    """Run ``test(self, alpha, sigma_x, sigma, u)`` over :data:`CHANNELS` and its examples."""
+    for values in CHANNEL_EXAMPLES:
+        test = example(**values)(test)
+    return settings(max_examples=200, deadline=None)(given(**CHANNELS)(test))
+
+
+def channel(alpha, sigma_x, sigma, u):
+    """The denoiser of one drawn channel and its input."""
+    return MmseDenoiser(BernoulliGaussianPrior(alpha, sigma_x), sigma), u * (sigma_x + sigma)
+
+
 class TestDenoise:
     def test_wiener_filter_case(self):
         d = MmseDenoiser(BernoulliGaussianPrior(1.0, 1.0), 1.0)
-        assert d.denoise_scalar(2.0) == pytest.approx(1.0, rel=1e-14)
+        assert d.denoise(2.0) == pytest.approx(1.0, rel=1e-14)
         z = np.linspace(-5, 5, 11)
         np.testing.assert_allclose(d.denoise(z), 0.5 * z, rtol=1e-14)
 
     def test_zero_maps_to_zero(self):
         for prior, sigma in SETTINGS:
-            assert MmseDenoiser(prior, sigma).denoise_scalar(0.0) == 0.0
+            assert MmseDenoiser(prior, sigma).denoise(0.0) == 0.0
 
     def test_matches_posterior_quadrature(self):
         prior = BernoulliGaussianPrior(0.2, math.sqrt(5.0))
         d = MmseDenoiser(prior, 0.5)
         _, mean, _ = quad_posterior_stats(prior, 0.5, 1.0)
-        assert d.denoise_scalar(1.0) == pytest.approx(mean, abs=1e-9)
+        assert d.denoise(1.0) == pytest.approx(mean, abs=1e-9)
 
     def test_vector_is_componentwise(self):
         prior = BernoulliGaussianPrior(0.3)
@@ -66,7 +99,7 @@ class TestDenoise:
         rng = np.random.default_rng(5)
         z = rng.normal(scale=3.0, size=100)
         vector = d.denoise(z)
-        scalars = np.array([d.denoise_scalar(v) for v in z])
+        scalars = np.array([d.denoise(v) for v in z])
         np.testing.assert_array_equal(vector, scalars)
 
         perm = rng.permutation(100)
@@ -127,16 +160,16 @@ class TestPosteriorVariance:
             gaussian_pdf(math.sqrt(2.0), 0.0) + gaussian_pdf(1.0, 0.0)
         )
         hand = pi0 * d.slab_gain * 1.0
-        assert d.posterior_variance_scalar(0.0) == pytest.approx(hand, rel=1e-12)
+        assert d.posterior_variance(0.0) == pytest.approx(hand, rel=1e-12)
         _, _, var = quad_posterior_stats(prior, 1.0, 0.0)
-        assert d.posterior_variance_scalar(0.0) == pytest.approx(var, abs=1e-8)
+        assert d.posterior_variance(0.0) == pytest.approx(var, abs=1e-8)
 
     @pytest.mark.parametrize("z", [-2.5, -0.3, 0.7, 1.9])
     def test_matches_posterior_quadrature(self, z):
         prior = BernoulliGaussianPrior(0.2, math.sqrt(5.0))
         d = MmseDenoiser(prior, 0.5)
         _, _, var = quad_posterior_stats(prior, 0.5, z)
-        assert d.posterior_variance_scalar(z) == pytest.approx(var, abs=1e-8)
+        assert d.posterior_variance(z) == pytest.approx(var, abs=1e-8)
 
     @pytest.mark.parametrize("prior,sigma", SETTINGS)
     def test_strictly_positive(self, prior, sigma):
@@ -199,7 +232,7 @@ class TestTweedieResidual:
 class TestInvert:
     def test_zero(self):
         d = MmseDenoiser(BernoulliGaussianPrior(0.2), 0.5)
-        assert d.invert_scalar(0.0) == 0.0
+        assert d.invert(0.0) == 0.0
 
     @pytest.mark.parametrize("prior,sigma", SETTINGS)
     def test_round_trip_both_ways(self, prior, sigma):
@@ -217,7 +250,7 @@ class TestInvert:
     def test_matches_bracketing_oracle(self):
         d = MmseDenoiser(BernoulliGaussianPrior(0.2), 0.5)
         for x in [-3.7, -0.9, -1e-4, 0.02, 0.8, 2.4, 11.0]:
-            assert d.invert_scalar(x) == pytest.approx(brentq_invert(d, x), abs=1e-9)
+            assert d.invert(x) == pytest.approx(brentq_invert(d, x), abs=1e-9)
 
     def test_residual_contract(self):
         d = MmseDenoiser(BernoulliGaussianPrior(0.15), 0.8)
@@ -230,6 +263,45 @@ class TestInvert:
         d = MmseDenoiser(BernoulliGaussianPrior(0.2), 0.5)
         with pytest.raises(ValueError):
             d.invert(np.nan)
+
+
+class TestIdentitiesOverParameterSpace:
+    """The analytic identities over ``(alpha, sigma_x, sigma, z)``, not just fixed settings.
+
+    ``|z|`` reaches ``1e3 * (sigma_x + sigma)``, far enough into the tails
+    that the spike responsibility underflows to zero.
+    """
+
+    @over_channels
+    def test_score_form(self, alpha, sigma_x, sigma, u):
+        d, z = channel(alpha, sigma_x, sigma, u)
+        assert abs(d.tweedie_residual(z)) <= 1e-9 * max(1.0, abs(z))
+
+    @over_channels
+    def test_slope_positive_and_variance_identity(self, alpha, sigma_x, sigma, u):
+        d, z = channel(alpha, sigma_x, sigma, u)
+        slope = d.derivative(z)
+        assert slope > 0.0
+        assert abs(slope - d.posterior_variance(z) / sigma**2) <= 1e-8 * max(1.0, slope)
+
+    @over_channels
+    def test_invert_round_trip(self, alpha, sigma_x, sigma, u):
+        d, z = channel(alpha, sigma_x, sigma, u)
+        x = d.denoise(z)
+        back = d.invert(x)
+        assert abs(d.denoise(back) - x) <= _INVERT_TOL * max(1.0, abs(x))
+        # the inverse misses z by at most its residual tolerance over the slope
+        assert abs(back - z) <= 2.0 * _INVERT_TOL * max(1.0, abs(x)) / d.derivative(z)
+
+    @over_channels
+    def test_prox_equivalence(self, alpha, sigma_x, sigma, u):
+        # D(z) is the prox of the induced regularizer at z: over the pre-image u of
+        # x = D(u), the prox objective is smallest at u = z (it does not depend on gamma)
+        d, z = channel(alpha, sigma_x, sigma, u)
+        reg = InducedRegularizer(d, 1.0)
+        center = reg.prox_objective(z, z)
+        offsets = np.array([-3.0, -1.0, -0.1, -1e-3, 1e-3, 0.1, 1.0, 3.0]) * (sigma_x + sigma)
+        assert np.all(reg.prox_objective(z + offsets, z) >= center - 1e-12 * max(1.0, abs(center)))
 
 
 class TestInducedRegularizer:
@@ -291,7 +363,7 @@ class TestInducedRegularizer:
         rng = np.random.default_rng(8)
         for _ in range(5):
             z = rng.uniform(-4, 4)
-            center = d.denoise_scalar(z)
+            center = d.denoise(z)
             grid = center + np.arange(-150, 151) * 1e-4
             u = d.invert(grid)
             h = -0.5 / gamma * (grid - u) ** 2 + sigma**2 / gamma * neg_log_marginal(
@@ -362,7 +434,7 @@ class TestProxObjective:
         rng = np.random.default_rng(4)
         for _ in range(10):
             u, z = rng.uniform(-4, 4, size=2)
-            composed = 0.5 * (d.denoise_scalar(u) - z) ** 2 + gamma * reg.value(
-                np.array([d.denoise_scalar(u)])
+            composed = 0.5 * (d.denoise(u) - z) ** 2 + gamma * reg.value(
+                np.array([d.denoise(u)])
             )
             assert reg.prox_objective(u, z) == pytest.approx(composed, rel=1e-9, abs=1e-10)

@@ -30,7 +30,7 @@ from pnpmmse.experiment import (
     trial_rng,
 )
 from pnpmmse.prior import BernoulliGaussianPrior, sample_signal
-from pnpmmse import solvers
+from pnpmmse import linear_model, solvers
 from pnpmmse.linear_model import MeasurementOperator
 from pnpmmse.solvers import lasso_ista_grid, pnp_ista_grid
 
@@ -162,26 +162,26 @@ class TestBatchedGridSearch:
     def test_block_matches_single_value_runs(self, config):
         problem = make_problem(config, 0, 0)
         prior = BernoulliGaussianPrior(config.alpha)
-        gamma, _, lip = experiment._resolve_gamma(config, problem.operator)
+        gamma, _ = experiment._resolve_gamma(config, problem.operator)
         lam_scale = float(np.max(np.abs(problem.operator.adjoint(problem.y))))
         lams = [rel * lam_scale for rel in config.lambda_grid]
         full = TraceOptions()
         with_objective = TraceOptions(objective=True, gradient=False, snr=True)
-        pnp_block = pnp_ista_grid(problem, prior, config.sigma_grid, gamma, config.max_iter, full, lipschitz=lip)
+        pnp_block = pnp_ista_grid(problem, prior, config.sigma_grid, gamma, config.max_iter, full)
         pnp_single = [
-            pnp_ista(problem, MmseDenoiser(prior, s), gamma, config.max_iter, full, lipschitz=lip)
+            pnp_ista(problem, MmseDenoiser(prior, s), gamma, config.max_iter, full)
             for s in config.sigma_grid
         ]
-        lasso_block = lasso_ista_grid(problem, lams, gamma, config.max_iter, with_objective, lipschitz=lip)
+        lasso_block = lasso_ista_grid(problem, lams, gamma, config.max_iter, with_objective)
         lasso_single = [
-            lasso_ista(problem, lam, gamma, config.max_iter, with_objective, lipschitz=lip) for lam in lams
+            lasso_ista(problem, lam, gamma, config.max_iter, with_objective) for lam in lams
         ]
         # both grids as the two column groups of one block, as a trial runs them
         groups = [
             solvers._pnp_group(prior, config.sigma_grid, gamma, full),
             solvers._lasso_group(lams, gamma, with_objective),
         ]
-        pnp_joint, lasso_joint = solvers._ista(problem, gamma, groups, config.max_iter, lip, False)
+        pnp_joint, lasso_joint = solvers._ista(problem, gamma, groups, config.max_iter, False)
         for block, single in [
             (pnp_block, pnp_single),
             (lasso_block, lasso_single),
@@ -247,7 +247,7 @@ class TestBatchedGridSearch:
         trace = outcome.traces["pnp"]
         # the selected level's cost, starting from its value at the zero start
         problem = make_problem(config, 0, 0)
-        gamma, _, _ = experiment._resolve_gamma(config, problem.operator)
+        gamma, _ = experiment._resolve_gamma(config, problem.operator)
         sigma = outcome.selections["pnp"][1]
         regularizer = InducedRegularizer(MmseDenoiser(BernoulliGaussianPrior(config.alpha), sigma), gamma)
         zero = np.zeros(problem.n)
@@ -262,6 +262,30 @@ class TestBatchedGridSearch:
         outcome = experiment._run_trial(config, 0, 0, pnp_objective=False)
         assert re.fullmatch(r"non-finite iterate at iteration \d+", outcome.error)
         assert not outcome.selections
+
+
+class TestStepSize:
+    def test_one_power_iteration_per_operator(self, monkeypatch):
+        # a trial, then PnP and LASSO on the same problem, all read the operator's kept estimate
+        config = tiny_config(measurement_rates=(0.3,))
+        problem = make_problem(config, 0, 0)
+        expected = linear_model.lipschitz_constant(problem.operator)
+        monkeypatch.setattr(experiment, "make_problem", lambda *args: problem)
+        runs = []
+        for module in (linear_model, experiment, solvers):
+            if hasattr(module, "lipschitz_constant"):
+
+                def counted(*args, _original=module.lipschitz_constant, **kwargs):
+                    runs.append(args)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, "lipschitz_constant", counted)
+        assert experiment._run_trial(config, 0, 0, pnp_objective=False).error is None
+        gamma = 0.99 / expected.value
+        pnp_ista(problem, MmseDenoiser(BernoulliGaussianPrior(config.alpha), 0.1), gamma, 5)
+        lasso_ista(problem, 0.01, gamma, 5)
+        assert len(runs) == 1
+        assert problem.operator.lipschitz == expected
 
 
 class TestConvergenceExperiment:
@@ -434,6 +458,19 @@ class TestCli:
         argv = ["converge", "--n", "16", "--alpha", "1e-12", "--trials", "1", "--rates", "0.8"]
         assert main(argv + ["--solvers", "pnp", "--out", str(tmp_path)]) == 3
         assert "3 signal draws at alpha=1e-12, n=16 were all zero" in caplog.text
+
+    def test_rate_where_every_trial_failed_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # one failed trial in twenty is within the failure budget, but leaves its rate with no cell
+        def first_rate_fails(config, rate_index, trial):
+            if rate_index == 0:
+                raise ValueError("injected failure")
+            return make_problem(config, rate_index, trial)
+
+        monkeypatch.setattr(experiment, "make_problem", first_rate_fails)
+        rates = ",".join(str(round(0.05 * k, 2)) for k in range(1, 21))
+        argv = ["sweep", "--n", "16", "--trials", "1", "--rates", rates, "--solvers", "lasso"]
+        assert main(argv + ["--max-iter", "5", "--out", str(tmp_path)]) == 3
+        assert "every trial at rate 0.05 failed" in capsys.readouterr().err
 
     def test_infinite_gamma_is_a_configuration_error(self, tmp_path):
         argv = ["sweep", "--n", "16", "--trials", "1", "--rates", "0.5,0.8", "--max-iter", "5"]

@@ -7,8 +7,6 @@ import pytest
 
 from pnpmmse import (
     BernoulliGaussianPrior,
-    gaussian_pdf,
-    log_marginal,
     marginal_density,
     neg_log_marginal,
     neg_log_marginal_prime,
@@ -16,7 +14,7 @@ from pnpmmse import (
     sample_signal,
 )
 
-from oracles import central_diff, quad_marginal_density
+from oracles import central_diff, gaussian_pdf, quad_marginal_density
 
 PARAMS = [
     BernoulliGaussianPrior(0.2),
@@ -75,22 +73,6 @@ class TestSampling:
     def test_empty_draw_rejected(self):
         with pytest.raises(ValueError):
             sample_signal(BernoulliGaussianPrior(0.5), 0, np.random.default_rng(0))
-
-
-class TestGaussianPdf:
-    def test_standard_normal_mode(self):
-        assert gaussian_pdf(1.0, 0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-12)
-
-    def test_scaling(self):
-        assert gaussian_pdf(2.0, 0.0) == pytest.approx(1.0 / (2 * math.sqrt(2 * math.pi)), rel=1e-12)
-
-    def test_tail_value(self):
-        assert gaussian_pdf(1.0, 3.0) == pytest.approx(math.exp(-4.5) / math.sqrt(2 * math.pi), rel=1e-12)
-
-    @pytest.mark.parametrize("sigma", [0.0, -1.0])
-    def test_nonpositive_sigma_rejected(self, sigma):
-        with pytest.raises(ValueError):
-            gaussian_pdf(sigma, 1.0)
 
 
 class TestMarginalDensity:
@@ -155,13 +137,6 @@ class TestNegLogMarginal:
         expected = z**2 / (2 * s2) + 0.5 * math.log(2 * math.pi * s2)
         np.testing.assert_allclose(neg_log_marginal(prior, sigma, z), expected, rtol=1e-12)
         np.testing.assert_allclose(neg_log_marginal_prime(prior, sigma, z), z / s2, rtol=1e-12)
-
-    def test_log_marginal_consistent(self):
-        prior = BernoulliGaussianPrior(0.3)
-        z = np.linspace(-5, 5, 21)
-        np.testing.assert_allclose(
-            neg_log_marginal(prior, 0.4, z), -log_marginal(prior, 0.4, z), rtol=1e-14
-        )
 
     @pytest.mark.parametrize("prior", PARAMS)
     @pytest.mark.parametrize("sigma", [0.25, 0.8])

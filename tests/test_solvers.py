@@ -18,7 +18,6 @@ from pnpmmse import (
     generate_operator,
     grad_data_fidelity,
     lasso_ista,
-    lipschitz_constant,
     mm_surrogate,
     pnp_ista,
     sample_signal,
@@ -79,10 +78,10 @@ class TestPnpIsta:
     def test_gaussian_prior_reaches_ridge_solution(self):
         rng = np.random.default_rng(2)
         prior, problem = make_problem(rng, n=24, m=32, alpha=1.0)
-        lip = lipschitz_constant(problem.operator).value
+        lip = problem.operator.lipschitz.value
         gamma = 0.99 / lip
         denoiser = MmseDenoiser(prior, 0.5)
-        trace = pnp_ista(problem, denoiser, gamma, max_iter=2000, lipschitz=lip)
+        trace = pnp_ista(problem, denoiser, gamma, max_iter=2000)
         assert trace.grad_norm[-1] < 1e-8
         x_star = ridge_stationary_point(problem, denoiser, gamma)
         reg = InducedRegularizer(denoiser, gamma)
@@ -92,10 +91,8 @@ class TestPnpIsta:
     def test_objective_monotone_and_gradient_vanishes(self):
         rng = np.random.default_rng(3)
         prior, problem = make_problem(rng, n=256, m=205)
-        lip = lipschitz_constant(problem.operator).value
-        trace = pnp_ista(
-            problem, MmseDenoiser(prior, 0.2), 0.99 / lip, max_iter=400, lipschitz=lip
-        )
+        lip = problem.operator.lipschitz.value
+        trace = pnp_ista(problem, MmseDenoiser(prior, 0.2), 0.99 / lip, max_iter=400)
         diffs = np.diff(trace.objective)
         assert np.all(diffs <= 1e-9 * abs(trace.objective[0]))
         assert trace.grad_norm[-1] <= 1e-3 * trace.grad_norm[1]
@@ -108,23 +105,23 @@ class TestPnpIsta:
     def test_fully_traced_run_never_inverts(self, monkeypatch):
         rng = np.random.default_rng(3)
         prior, problem = make_problem(rng, n=64, m=51)
-        lip = lipschitz_constant(problem.operator).value
+        lip = problem.operator.lipschitz.value
 
         def refuse(self, x):
             raise AssertionError("the solver inverted the denoiser")
 
         monkeypatch.setattr(MmseDenoiser, "invert", refuse)
-        trace = pnp_ista(problem, MmseDenoiser(prior, 0.2), 0.99 / lip, max_iter=50, lipschitz=lip)
+        trace = pnp_ista(problem, MmseDenoiser(prior, 0.2), 0.99 / lip, max_iter=50)
         assert trace.iterations_run == 50
         assert np.all(np.isfinite(trace.objective)) and np.all(np.isfinite(trace.grad_norm))
 
     def test_fixed_point_consistency_at_convergence(self):
         rng = np.random.default_rng(4)
         prior, problem = make_problem(rng, n=64, m=51)
-        lip = lipschitz_constant(problem.operator).value
+        lip = problem.operator.lipschitz.value
         gamma = 0.99 / lip
         denoiser = MmseDenoiser(prior, 0.3)
-        trace = pnp_ista(problem, denoiser, gamma, max_iter=3000, lipschitz=lip)
+        trace = pnp_ista(problem, denoiser, gamma, max_iter=3000)
         x = trace.final_iterate
         residual = x - denoiser.denoise(x - gamma * grad_data_fidelity(problem, x))
         assert np.linalg.norm(residual) <= 1e-6 * np.linalg.norm(x)
@@ -132,7 +129,7 @@ class TestPnpIsta:
     def test_step_size_guard_and_override(self):
         rng = np.random.default_rng(5)
         prior, problem = make_problem(rng)
-        lip = lipschitz_constant(problem.operator).value
+        lip = problem.operator.lipschitz.value
         with pytest.raises(ValueError):
             pnp_ista(problem, MmseDenoiser(prior, 0.3), 2.0 / lip, max_iter=5)
         trace = pnp_ista(
@@ -164,32 +161,28 @@ class TestPnpIsta:
     def test_trace_interval_and_density(self):
         rng = np.random.default_rng(7)
         prior, problem = make_problem(rng, n=32, m=24)
-        lip = lipschitz_constant(problem.operator).value
+        lip = problem.operator.lipschitz.value
         trace = pnp_ista(
             problem,
             MmseDenoiser(prior, 0.3),
             0.99 / lip,
             max_iter=20,
-            lipschitz=lip,
             trace=TraceOptions(interval=5),
         )
         np.testing.assert_array_equal(trace.iterations, [0, 5, 10, 15, 20])
-        dense = pnp_ista(
-            problem, MmseDenoiser(prior, 0.3), 0.99 / lip, max_iter=7, lipschitz=lip
-        )
+        dense = pnp_ista(problem, MmseDenoiser(prior, 0.3), 0.99 / lip, max_iter=7)
         np.testing.assert_array_equal(dense.iterations, np.arange(8))
         assert len(dense.objective) == len(dense.grad_norm) == len(dense.snr_db) == 8
 
     def test_gradient_early_stop(self):
         rng = np.random.default_rng(8)
         prior, problem = make_problem(rng, n=24, m=32, alpha=1.0)
-        lip = lipschitz_constant(problem.operator).value
+        lip = problem.operator.lipschitz.value
         trace = pnp_ista(
             problem,
             MmseDenoiser(prior, 0.5),
             0.99 / lip,
             max_iter=5000,
-            lipschitz=lip,
             grad_rtol=1e-6,
         )
         assert trace.iterations_run < 5000
@@ -201,15 +194,15 @@ class TestLassoIsta:
         rng = np.random.default_rng(9)
         _, problem = make_problem(rng)
         lam = 10.0 * float(np.max(np.abs(problem.operator.adjoint(problem.y))))
-        lip = lipschitz_constant(problem.operator).value
-        trace = lasso_ista(problem, lam, 0.99 / lip, max_iter=50, lipschitz=lip)
+        lip = problem.operator.lipschitz.value
+        trace = lasso_ista(problem, lam, 0.99 / lip, max_iter=50)
         np.testing.assert_array_equal(trace.final_iterate, np.zeros(problem.n))
 
     def test_small_weight_approaches_least_squares(self):
         rng = np.random.default_rng(10)
         prior, problem = make_problem(rng, n=24, m=48, sigma_e=0.0)
-        lip = lipschitz_constant(problem.operator).value
-        trace = lasso_ista(problem, 1e-6, 0.99 / lip, max_iter=2000, lipschitz=lip)
+        lip = problem.operator.lipschitz.value
+        trace = lasso_ista(problem, 1e-6, 0.99 / lip, max_iter=2000)
         assert trace.snr_db[-1] > 80.0
         assert trace.snr_db[-1] >= trace.snr_db[1]
 
@@ -217,8 +210,8 @@ class TestLassoIsta:
         rng = np.random.default_rng(11)
         _, problem = make_problem(rng)
         lam_scale = float(np.max(np.abs(problem.operator.adjoint(problem.y))))
-        lip = lipschitz_constant(problem.operator).value
-        trace = lasso_ista(problem, 0.05 * lam_scale, 0.99 / lip, max_iter=300, lipschitz=lip)
+        lip = problem.operator.lipschitz.value
+        trace = lasso_ista(problem, 0.05 * lam_scale, 0.99 / lip, max_iter=300)
         assert np.all(np.diff(trace.objective) <= 1e-9 * abs(trace.objective[0]))
 
     def test_matches_coordinate_descent_oracle(self):
@@ -230,8 +223,8 @@ class TestLassoIsta:
         op = generate_operator(m, n, rng)
         problem = build_instance(op, x_true, rng, sigma_e=0.0)
         lam = 0.01 * float(np.max(np.abs(op.adjoint(problem.y))))
-        lip = lipschitz_constant(op).value
-        trace = lasso_ista(problem, lam, 0.99 / lip, max_iter=4000, lipschitz=lip)
+        lip = op.lipschitz.value
+        trace = lasso_ista(problem, lam, 0.99 / lip, max_iter=4000)
         assert set(support) <= set(np.flatnonzero(trace.final_iterate))
         oracle_x = lasso_coordinate_descent(problem, lam, sweeps=3000)
         assert lasso_objective(problem, lam, trace.final_iterate) == pytest.approx(
@@ -242,7 +235,7 @@ class TestLassoIsta:
         rng = np.random.default_rng(13)
         _, problem = make_problem(rng)
         with pytest.raises(ValueError):
-            lasso_ista(problem, 0.0, 0.1, max_iter=5, lipschitz=1.0, allow_large_step=True)
+            lasso_ista(problem, 0.0, 0.1, max_iter=5, allow_large_step=True)
 
 
 class TestGamp:
@@ -271,7 +264,7 @@ class TestGamp:
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
             prior, problem = make_problem(rng, n=256, m=205)
-            lip = lipschitz_constant(problem.operator).value
+            lip = problem.operator.lipschitz.value
             gamp_final.append(gamp(problem, prior, max_iter=300).snr_db[-1])
             best = -np.inf
             for sigma in np.geomspace(0.01, 0.37, 9):
@@ -280,7 +273,6 @@ class TestGamp:
                     MmseDenoiser(prior, sigma),
                     0.99 / lip,
                     max_iter=300,
-                    lipschitz=lip,
                     trace=TraceOptions(objective=False, gradient=False, snr=True),
                 )
                 best = max(best, trace.snr_db[-1])
@@ -307,7 +299,7 @@ class TestMmSurrogate:
     def setup_method(self):
         rng = np.random.default_rng(18)
         self.prior, self.problem = make_problem(rng, n=8, m=12)
-        self.lip = lipschitz_constant(self.problem.operator).value
+        self.lip = self.problem.operator.lipschitz.value
         self.gamma = 0.99 / self.lip
         self.denoiser = MmseDenoiser(self.prior, 0.4)
         self.reg = InducedRegularizer(self.denoiser, self.gamma)
