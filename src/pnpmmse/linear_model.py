@@ -207,17 +207,26 @@ def lipschitz_constant(
     return LipschitzEstimate(estimate, False, max_iter)
 
 
-def snr_db(x_hat: np.ndarray, x_ref: np.ndarray) -> float:
-    """Reconstruction SNR ``10 log10(|x_ref|^2 / |x_hat - x_ref|^2)``, capped at 300 dB."""
+def snr_db(x_hat: np.ndarray, x_ref: np.ndarray):
+    """Reconstruction SNR ``10 log10(|x_ref|^2 / |x_hat - x_ref|^2)``, capped at 300 dB.
+
+    ``x_hat`` is one reconstruction, giving a float, or an ``n x K`` block
+    of them, one per column, giving an array of ``K`` values.
+    """
     x_hat = np.asarray(x_hat, dtype=float)
     x_ref = np.asarray(x_ref, dtype=float)
-    if x_hat.shape != x_ref.shape:
-        raise ValueError("x_hat and x_ref must have equal shapes")
+    if x_hat.shape[:1] != x_ref.shape or x_hat.ndim > 2:
+        raise ValueError("x_hat must have x_ref's shape, or be a block of such columns")
     ref_energy = float(x_ref @ x_ref)
     if ref_energy == 0.0:
         raise ValueError("reference signal must be nonzero")
-    err = x_hat - x_ref
-    err_energy = float(err @ err)
-    if err_energy == 0.0:
-        return SNR_CAP_DB
-    return min(10.0 * np.log10(ref_energy / err_energy), SNR_CAP_DB)
+    if x_hat.ndim == 1:
+        err = x_hat - x_ref
+        err_energy = err @ err
+    else:
+        err = x_hat - x_ref[:, None]
+        err_energy = np.einsum("ij,ij->j", err, err)
+    # a perfect reconstruction divides by zero, and the cap turns its inf into 300
+    with np.errstate(divide="ignore"):
+        snr = np.minimum(10.0 * np.log10(ref_energy / err_energy), SNR_CAP_DB)
+    return float(snr) if x_hat.ndim == 1 else snr

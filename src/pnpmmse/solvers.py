@@ -203,7 +203,7 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step, grad_rtol=None):
         if opts.gradient:
             rec.grad_norm.append(np.linalg.norm(g + h_grad, axis=0))
         if opts.snr:
-            rec.snr.append(np.array([snr_db(column, problem.x_true) for column in x.T]))
+            rec.snr.append(snr_db(x, problem.x_true))
 
     def record(t, x, z, r, g):
         for rec, group, cols in zip(recs, groups, columns):

@@ -184,6 +184,17 @@ class TestSnrDb:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             snr_db(np.ones(3), np.ones(4))
+        with pytest.raises(ValueError):
+            snr_db(np.ones((4, 2)), np.ones(3))
+
+    def test_block_is_one_value_per_column(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=50)
+        block = np.column_stack([x + rng.normal(scale=s, size=50) for s in (1e-3, 0.1, 1.0)] + [x])
+        values = snr_db(block, x)
+        assert values.shape == (4,)
+        np.testing.assert_allclose(values[:3], [snr_db(column, x) for column in block.T[:3]], rtol=0.0, atol=1e-12)
+        assert values[3] == 300.0
 
 
 class TestBuildInstance:
