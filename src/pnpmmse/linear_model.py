@@ -207,7 +207,7 @@ def lipschitz_constant(
     return LipschitzEstimate(estimate, False, max_iter)
 
 
-def snr_db(x_hat: np.ndarray, x_ref: np.ndarray):
+def snr_db(x_hat: np.ndarray, x_ref: np.ndarray) -> float | np.ndarray:
     """Reconstruction SNR ``10 log10(|x_ref|^2 / |x_hat - x_ref|^2)``, capped at 300 dB.
 
     ``x_hat`` is one reconstruction, giving a float, or an ``n x K`` block

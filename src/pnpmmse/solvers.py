@@ -120,8 +120,8 @@ class _Recorder:
 def exceeds_step_bound(gamma: float, operator: MeasurementOperator) -> bool:
     """Whether ``gamma`` leaves the guaranteed region ``gamma <= 1/L`` of ``operator``.
 
-    ``L`` is the operator's kept estimate; the slack absorbs the rounding
-    of ``0.99 / L``-style step sizes.
+    ``L`` is the operator's kept estimate; the slack lets ``gamma = 1/L``
+    pass despite rounding.
     """
     return gamma * operator.lipschitz.value > 1.0 + 1e-12
 
