@@ -27,16 +27,22 @@ SNR_CAP_DB = 300.0
 
 @dataclass(frozen=True)
 class MeasurementOperator:
-    """Dense real measurement matrix; both m <= n and m > n are allowed."""
+    """Dense real measurement matrix; both m <= n and m > n are allowed.
+
+    ``matrix`` is a read-only view, so a write through it raises instead of
+    leaving the values kept from it (``lipschitz`` and ``gram``) stale.  The
+    view copies nothing, and the caller's own array stays writeable.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.asarray(self.matrix, dtype=float).view()
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise ValueError("operator matrix must be 2-D with positive dimensions")
         if not np.all(np.isfinite(m)):
             raise ValueError("operator matrix must have finite entries")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @cached_property
@@ -47,6 +53,23 @@ class MeasurementOperator:
         runs one power iteration however many solver calls share it.
         """
         return lipschitz_constant(self)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """``H^T H``, read-only, formed on first use and kept."""
+        gram = self.matrix.T @ self.matrix
+        gram.flags.writeable = False
+        return gram
+
+    @property
+    def uses_gram(self) -> bool:
+        """Whether products with ``H^T H`` go through :attr:`gram`.
+
+        One Gram product costs ``n^2`` multiply-adds per column and a forward
+        plus an adjoint product ``2mn``, so the Gram route is the cheaper one
+        exactly when ``2m > n``.
+        """
+        return 2 * self.m > self.n
 
     @property
     def m(self) -> int:
@@ -156,6 +179,45 @@ def grad_data_fidelity(problem: ProblemInstance, x: np.ndarray) -> np.ndarray:
     return problem.operator.adjoint(problem.operator.forward(x) - problem.y)
 
 
+def _block_fidelity(problem: ProblemInstance):
+    """Least-squares gradient and fidelity of ``n x K`` blocks, one signal per column.
+
+    ``evaluate(X)`` returns ``G = H^T (H X - y)`` and a function giving the
+    fidelities ``0.5 * |y - H x|^2`` of a column slice, computed only when
+    asked.  On the operator's Gram route ``G = gram X - H^T y`` is one
+    product and the fidelity is ``0.5 * (x^T g - (H^T y)^T x + |y|^2)``;
+    otherwise ``G`` is a forward and an adjoint product and the fidelity
+    reads the residual.
+    """
+    operator, y = problem.operator, problem.y
+    if operator.uses_gram:
+        gram, hty, y_energy = operator.gram, operator.adjoint(y), float(y @ y)
+
+        def evaluate(x):
+            g = gram @ x
+            g -= hty[:, None]
+
+            def fidelity(cols):
+                xc = x[:, cols]
+                return 0.5 * (np.einsum("ij,ij->j", xc, g[:, cols]) - hty @ xc + y_energy)
+
+            return g, fidelity
+
+    else:
+
+        def evaluate(x):
+            r = operator.forward(x)
+            r -= y[:, None]
+
+            def fidelity(cols):
+                rc = r[:, cols]
+                return 0.5 * np.einsum("ij,ij->j", rc, rc)
+
+            return operator.adjoint(r), fidelity
+
+    return evaluate
+
+
 def _check_signal(problem: ProblemInstance, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
@@ -182,17 +244,21 @@ def lipschitz_constant(
     from below.  The start vector is drawn from a fixed seed, keeping the
     estimate deterministic for a given matrix.  If the relative change has
     not dropped below ``tol`` within ``max_iter`` iterations the last
-    estimate is returned with ``converged=False``.
+    estimate is returned with ``converged=False``.  Each step multiplies by
+    the kept Gram matrix when the operator
+    :attr:`~MeasurementOperator.uses_gram`, and by ``H`` then ``H^T``
+    otherwise.
     """
     h = operator.matrix
     if not np.any(h):
         raise ValueError("operator must be nonzero")
+    gram = operator.gram if operator.uses_gram else None
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(operator.n)
     v /= np.linalg.norm(v)
     estimate = 0.0
     for it in range(1, max_iter + 1):
-        w = h.T @ (h @ v)
+        w = h.T @ (h @ v) if gram is None else gram @ v
         new_estimate = float(v @ w)
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:

@@ -1,5 +1,6 @@
 """Experiment driver: config handling, determinism, CSV schemas, validation."""
 
+import functools
 import json
 import math
 import re
@@ -209,10 +210,15 @@ class TestBatchedGridSearch:
         assert outcome.selections == {solver: expected[solver] for solver in config.solvers if solver in expected}
 
     @staticmethod
-    def run_counted_trial(monkeypatch, config, pnp_objective):
-        """Run one trial, requiring one block product per iteration and no single-value PnP run."""
-        block_products = {"forward": 0, "adjoint": 0}
-        for name in block_products:
+    def run_counted_trial(monkeypatch, config, pnp_objective, gram_route=False):
+        """Run one trial, requiring one block product per iteration and no single-value PnP run.
+
+        The product is a forward and an adjoint product, or on the Gram route
+        one product with the operator's Gram matrix, which the trial forms
+        at most once.
+        """
+        block_products = {"forward": 0, "adjoint": 0, "gram": 0}
+        for name in ("forward", "adjoint"):
 
             def counted(self, v, _name=name, _original=getattr(MeasurementOperator, name)):
                 if np.ndim(v) == 2:
@@ -220,6 +226,29 @@ class TestBatchedGridSearch:
                 return _original(self, v)
 
             monkeypatch.setattr(MeasurementOperator, name, counted)
+
+        class CountedGram(np.ndarray):
+            def __matmul__(self, other):
+                if np.ndim(other) == 2:
+                    block_products["gram"] += 1
+                return np.asarray(self) @ other
+
+        grams_formed = []
+
+        def gram(self, _original=MeasurementOperator.gram.func):
+            grams_formed.append(self)
+            return _original(self).view(CountedGram)
+
+        counted_gram = functools.cached_property(gram)
+        counted_gram.__set_name__(MeasurementOperator, "gram")
+        monkeypatch.setattr(MeasurementOperator, "gram", counted_gram)
+        decomposed = []
+
+        def eigh(a, _original=np.linalg.eigh, **kwargs):
+            decomposed.append(type(a))
+            return _original(a, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
         single_runs = []
         for name in ("pnp_ista", "MmseDenoiser"):
 
@@ -230,8 +259,15 @@ class TestBatchedGridSearch:
             monkeypatch.setattr(experiment, name, recorded)
         outcome = experiment._run_trial(config, 0, 0, pnp_objective)
         assert outcome.error is None
-        # one product each at the zero start and after every iteration, for both grids
-        assert block_products == {"forward": config.max_iter + 1, "adjoint": config.max_iter + 1}
+        # one product at the zero start and after every iteration, for both grids
+        runs = config.max_iter + 1
+        if gram_route:
+            assert block_products == {"forward": 0, "adjoint": 0, "gram": runs}
+        else:
+            assert block_products == {"forward": runs, "adjoint": runs, "gram": 0}
+        # the step size, the ISTA block and message passing share one Gram matrix
+        assert len(grams_formed) == int(gram_route or "gamp" in config.solvers)
+        assert decomposed == [CountedGram] * ("gamp" in config.solvers)
         assert single_runs == []
         assert outcome.traces["pnp"].grad_norm is None
         return outcome
@@ -240,6 +276,12 @@ class TestBatchedGridSearch:
         config = tiny_config(measurement_rates=(0.3,), solvers=("pnp", "lasso"))
         outcome = self.run_counted_trial(monkeypatch, config, pnp_objective=False)
         assert outcome.traces["pnp"].objective is None
+
+    def test_gram_route_forms_one_gram_per_trial(self, monkeypatch):
+        # m = 38 > n/2 = 24
+        config = tiny_config(measurement_rates=(0.8,), solvers=("pnp", "lasso", "gamp"))
+        outcome = self.run_counted_trial(monkeypatch, config, pnp_objective=False, gram_route=True)
+        assert outcome.traces["gamp"].snr_db is not None
 
     def test_converge_block_traces_the_selected_level(self, monkeypatch):
         config = tiny_config(measurement_rates=(0.3,), solvers=("pnp", "lasso"))

@@ -17,6 +17,8 @@ from pnpmmse import (
     snr_db,
 )
 
+from pnpmmse.linear_model import _block_fidelity
+
 from oracles import dense_largest_eigenvalue, grad_central_diff
 
 
@@ -40,6 +42,23 @@ class TestGenerateOperator:
     def test_zero_dimension_rejected(self, m, n):
         with pytest.raises(ValueError):
             generate_operator(m, n, np.random.default_rng(0))
+
+
+class TestMeasurementOperator:
+    def test_matrix_and_gram_are_read_only(self):
+        op = generate_operator(6, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            op.gram[0, 0] = 5.0
+
+    def test_callers_array_stays_writeable(self):
+        n = 5
+        eye = np.eye(n)
+        op = MeasurementOperator(eye)
+        eye[0, 0] = 1.0
+        np.testing.assert_array_equal(op.gram, np.eye(n))
+        assert op.lipschitz.value == pytest.approx(1.0, rel=1e-12)
 
 
 class TestNoiseCalibration:
@@ -127,6 +146,23 @@ class TestDataFidelity:
             ProblemInstance(op, np.zeros(2), np.zeros(4), 0.1)
         with pytest.raises(ValueError):
             ProblemInstance(op, np.zeros(3), np.zeros(5), 0.1)
+
+
+class TestBlockFidelity:
+    @pytest.mark.parametrize("m,n", [(31, 64), (32, 64), (33, 64), (128, 64)])
+    def test_both_routes_match_single_signal_oracles(self, m, n):
+        # both sides of 2m = n, and m > n
+        rng = np.random.default_rng(m)
+        problem = _fresh_problem(rng, m=m, n=n)
+        assert problem.operator.uses_gram == (2 * m > n)
+        block = rng.normal(size=(n, 5))
+        g, fidelity = _block_fidelity(problem)(block)
+        for cols in (slice(0, 5), slice(1, 3)):
+            expected = [data_fidelity(problem, x) for x in block[:, cols].T]
+            np.testing.assert_allclose(fidelity(cols), expected, rtol=1e-12, atol=0.0)
+        for j, x in enumerate(block.T):
+            expected = grad_data_fidelity(problem, x)
+            assert np.linalg.norm(g[:, j] - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestLipschitz:
