@@ -735,7 +735,7 @@ def run_validation_suite(
     def check_lipschitz(tol):
         rng_l = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(103,)))
         worst = 0.0
-        # the last shape has 2m <= n, so both power-iteration routes are checked
+        # the last shape has 2m <= n, so both routes of MeasurementOperator.normal are checked
         for m, n in [(20, 30), (30, 20), (25, 25), (10, 30)]:
             operator = generate_operator(m, n, rng_l)
             estimate = operator.lipschitz.value

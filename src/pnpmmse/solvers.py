@@ -9,8 +9,8 @@ ISTA loop.  It runs a block of iterates made of column groups, each group
 a grid of parameter values for one prox, and every column of the block
 shares each matrix product; a trial's denoiser-level grid and its
 LASSO-weight grid run as one such block.  Each iteration's fidelity
-gradient costs one product with the operator's kept Gram matrix ``H^T H``
-when ``2m > n``, and one forward and one adjoint product otherwise.
+gradient costs one ``op.normal`` product (:meth:`MeasurementOperator.normal`)
+for the whole block.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import NumericalFailureError
 from .linear_model import (
     MeasurementOperator,
     ProblemInstance,
-    _block_fidelity,
     data_fidelity,
     grad_data_fidelity,
     snr_db,
@@ -160,17 +159,16 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step, grad_rtol=None):
 
     The block is the column groups side by side.  Each column steps
     ``x <- prox(x - gamma * grad)`` from zero with its group's prox.  The
-    fidelity gradient ``G = H^T (H X - y)`` at the new iterate comes for
-    every group at once from one product with the operator's kept Gram
-    matrix when ``2m > n``, and from one forward and one adjoint product
-    otherwise; it serves both the record (fidelity, gradient ``G + grad h``)
-    and the next step, and the fidelity is read from the quantities that
-    product left behind.  Each group records what its own ``TraceOptions``
-    asks for; its penalty runs only when the objective or the gradient is
-    traced.  A column that turns non-finite or breaks descent fails the
-    whole block, and ``grad_rtol`` stops it only once every column traces
-    its gradient and has met the tolerance.  Returns one list of traces
-    per group, in order.
+    fidelity gradient ``G = H^T H X - H^T y`` at the new iterate comes for
+    every group at once from one ``op.normal`` product per iteration.  It
+    serves both the record (fidelity, gradient ``G + grad h``) and the next
+    step: each column's fidelity ``0.5 * |y - H x|^2`` is read from it as
+    ``0.5 * (x^T g - (H^T y)^T x + |y|^2)``.  Each group records what its
+    own ``TraceOptions`` asks for; its penalty runs only when the objective
+    or the gradient is traced.  A column that turns non-finite or breaks
+    descent fails the whole block, and ``grad_rtol`` stops it only once
+    every column traces its gradient and has met the tolerance.  Returns
+    one list of traces per group, in order.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -182,20 +180,27 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step, grad_rtol=None):
             "pass allow_large_step=True to experiment outside the guaranteed region"
         )
 
-    evaluate = _block_fidelity(problem)
+    operator, y = problem.operator, problem.y
+    hty, y_energy = operator.adjoint(y), float(y @ y)
+
+    def gradient(x):
+        g = operator.normal(x)
+        g -= hty[:, None]
+        return g
+
     edges = np.cumsum([0] + [group.width for group in groups])
     columns = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     recs = [_Recorder(group.trace) for group in groups]
     x = np.zeros((problem.n, edges[-1]))
 
-    def record_group(rec, group, t, cols, x, z, g, fidelity):
+    def record_group(rec, group, t, cols, x, z, g):
         opts = rec.options
         x, z, g = x[:, cols], z[:, cols], g[:, cols]
         if opts.objective or opts.gradient:
             h_val, h_grad = group.penalty(x, z)
         rec.iterations.append(t)
         if opts.objective:
-            f = fidelity(cols) + h_val
+            f = 0.5 * (np.einsum("ij,ij->j", x, g) - hty @ x + y_energy) + h_val
             if rec.objective and not allow_large_step:
                 f_prev = rec.objective[-1]
                 f_scale = np.maximum(np.abs(rec.objective[0]), 1e-300)
@@ -212,22 +217,22 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step, grad_rtol=None):
         if opts.snr:
             rec.snr.append(snr_db(x, problem.x_true))
 
-    def record(t, x, z, g, fidelity):
+    def record(t, x, z, g):
         for rec, group, cols in zip(recs, groups, columns):
             if rec.due(t, max_iter):
-                record_group(rec, group, t, cols, x, z, g, fidelity)
+                record_group(rec, group, t, cols, x, z, g)
 
-    g, fidelity = evaluate(x)
+    g = gradient(x)
     # both proxes are odd, so the zero start is its own pre-image
-    record(0, x, x, g, fidelity)
+    record(0, x, x, g)
     t = 0
     for t in range(1, max_iter + 1):
         z = x - gamma * g
         _require_finite(z, t)
         x = np.concatenate([group.prox(z[:, cols]) for group, cols in zip(groups, columns)], axis=1)
         _require_finite(x, t)
-        g, fidelity = evaluate(x)
-        record(t, x, z, g, fidelity)
+        g = gradient(x)
+        record(t, x, z, g)
         # grad_norm[1] is each column's gradient norm at the first record after the start
         if grad_rtol is not None and all(
             len(rec.grad_norm) > 1 and np.all(rec.grad_norm[-1] <= grad_rtol * rec.grad_norm[1]) for rec in recs
@@ -282,8 +287,7 @@ def pnp_ista_grid(
     """:func:`pnp_ista` at every denoiser level in ``sigmas`` as one block.
 
     Returns one trace per level, in order.  The levels share each
-    iteration's matrix product (one Gram product when ``2m > n``, else a
-    forward and an adjoint product), and the posterior mean takes one
+    iteration's one ``op.normal`` product, and the posterior mean takes one
     level per column, so each trace equals the single-level run up to
     rounding.  Any level that fails fails the call, and ``grad_rtol``
     stops the block once every level has met it.
@@ -310,14 +314,13 @@ def pnp_ista(
     a numerical failure if it is not; ``allow_large_step=True`` skips both
     the step-size check and that assertion.  ``grad_rtol`` enables an
     opt-in early stop once the traced gradient norm falls below
-    ``grad_rtol`` times its value at the first iteration.  A fully traced
-    run costs one product with the operator's kept Gram matrix per
-    iteration when ``2m > n``, and one forward and one adjoint product
-    otherwise, plus one ``neg_log_marginal`` evaluation per component at
-    each record: the fidelity and its gradient come from the product the
-    next step needs anyway, and the regularizer is evaluated at the
-    pre-denoise iterate, which is the denoised iterate's pre-image, so no
-    inversion runs.
+    ``grad_rtol`` times its value at the first record after the start,
+    which is iteration ``min(trace.interval, max_iter)``.  A fully traced
+    run costs one ``op.normal`` product per iteration, plus one
+    ``neg_log_marginal`` evaluation per component at each record: the
+    fidelity and its gradient come from the product the next step needs
+    anyway, and the regularizer is evaluated at the pre-denoise iterate,
+    which is the denoised iterate's pre-image, so no inversion runs.
     """
     return pnp_ista_grid(
         problem, denoiser.prior, (denoiser.sigma,), gamma, max_iter, trace,
@@ -391,8 +394,8 @@ def gamp(
     Two moment-matched Gaussian blocks exchange extrinsic messages: the
     scalar MMSE denoiser handles the prior, and an LMMSE block handles the
     measurements through a single eigendecomposition per call of the
-    operator's kept Gram matrix ``H^T H``, which it shares with the step
-    size and the ISTA block when ``2m > n``.
+    operator's kept Gram matrix ``H^T H``, the matrix ``op.normal`` steps
+    through when ``2m > n``, so the two share one formation.
     On a decoupled operator (``H = I``) the likelihood-side extrinsic
     message is exactly the raw measurement channel, so the converged
     estimate reproduces the scalar denoiser applied to ``y``.  ``damping``

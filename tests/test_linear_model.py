@@ -17,8 +17,6 @@ from pnpmmse import (
     snr_db,
 )
 
-from pnpmmse.linear_model import _block_fidelity
-
 from oracles import dense_largest_eigenvalue, grad_central_diff
 
 
@@ -59,6 +57,28 @@ class TestMeasurementOperator:
         eye[0, 0] = 1.0
         np.testing.assert_array_equal(op.gram, np.eye(n))
         assert op.lipschitz.value == pytest.approx(1.0, rel=1e-12)
+
+    def test_later_write_to_callers_array_does_not_reach_the_operator(self):
+        a = np.eye(4)
+        op = MeasurementOperator(a)
+        op.lipschitz
+        a[0, 0] = 5.0
+        assert op.matrix[0, 0] == 1.0
+        assert op.gram[0, 0] == 1.0
+        assert op.lipschitz.value == pytest.approx(1.0, rel=1e-12)
+
+    def test_generated_draw_is_handed_over_read_only_and_kept_uncopied(self, monkeypatch):
+        handed_over = []
+        original = MeasurementOperator.__post_init__
+
+        def spy(self):
+            handed_over.append(self.matrix)
+            original(self)
+
+        monkeypatch.setattr(MeasurementOperator, "__post_init__", spy)
+        op = generate_operator(6, 4, np.random.default_rng(0))
+        assert not handed_over[0].flags.writeable
+        assert op.matrix is handed_over[0]
 
 
 class TestNoiseCalibration:
@@ -148,21 +168,20 @@ class TestDataFidelity:
             ProblemInstance(op, np.zeros(3), np.zeros(5), 0.1)
 
 
-class TestBlockFidelity:
+class TestNormal:
     @pytest.mark.parametrize("m,n", [(31, 64), (32, 64), (33, 64), (128, 64)])
-    def test_both_routes_match_single_signal_oracles(self, m, n):
+    def test_both_routes_match_two_products(self, m, n):
         # both sides of 2m = n, and m > n
-        rng = np.random.default_rng(m)
-        problem = _fresh_problem(rng, m=m, n=n)
-        assert problem.operator.uses_gram == (2 * m > n)
-        block = rng.normal(size=(n, 5))
-        g, fidelity = _block_fidelity(problem)(block)
-        for cols in (slice(0, 5), slice(1, 3)):
-            expected = [data_fidelity(problem, x) for x in block[:, cols].T]
-            np.testing.assert_allclose(fidelity(cols), expected, rtol=1e-12, atol=0.0)
-        for j, x in enumerate(block.T):
-            expected = grad_data_fidelity(problem, x)
-            assert np.linalg.norm(g[:, j] - expected) <= 1e-12 * np.linalg.norm(expected)
+        op = generate_operator(m, n, np.random.default_rng(m))
+        h = op.matrix
+        rng = np.random.default_rng(m + 1)
+        for x in (rng.normal(size=n), rng.normal(size=(n, 5))):
+            expected = h.T @ (h @ x)
+            got = op.normal(x)
+            assert got.shape == expected.shape
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+        # the Gram matrix is formed only where one product with it is the cheaper route
+        assert ("gram" in op.__dict__) == (2 * m > n)
 
 
 class TestLipschitz:

@@ -189,6 +189,22 @@ class TestPnpIsta:
         assert trace.grad_norm[-1] <= 1e-6 * trace.grad_norm[1]
 
 
+@pytest.mark.parametrize("m", [31, 33, 128])
+def test_traced_objectives_match_oracles_on_both_normal_routes(m):
+    # n = 64: 2m < n, 2m > n, and m > n
+    rng = np.random.default_rng(m)
+    prior, problem = make_problem(rng, n=64, m=m)
+    gamma = 0.99 / problem.operator.lipschitz.value
+    denoiser = MmseDenoiser(prior, 0.2)
+    trace = pnp_ista(problem, denoiser, gamma, max_iter=50)
+    x = trace.final_iterate
+    expected = data_fidelity(problem, x) + InducedRegularizer(denoiser, gamma).value(x)
+    assert trace.objective[-1] == pytest.approx(expected, rel=1e-9)
+    lam = 0.05 * float(np.max(np.abs(problem.operator.adjoint(problem.y))))
+    trace = lasso_ista(problem, lam, gamma, max_iter=50)
+    assert trace.objective[-1] == pytest.approx(lasso_objective(problem, lam, trace.final_iterate), rel=1e-9)
+
+
 class TestLassoIsta:
     def test_huge_weight_collapses_to_zero(self):
         rng = np.random.default_rng(9)
