@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NumericalFailureError
 from .prior import (
     BernoulliGaussianPrior,
     _log_odds,
+    _logistic,
     _match_input_shape,
     _mixture_stats,
     _validated_finite,
@@ -72,7 +72,7 @@ def posterior_mean(prior: BernoulliGaussianPrior, sigma, z):
     z = np.asarray(z, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     gap, s2, _ = _log_odds(prior, sigma, z)
-    return expit(-gap) * (prior.sigma_x**2 / s2) * z
+    return _logistic(-gap) * (prior.sigma_x**2 / s2) * z
 
 
 def _induced_terms(prior: BernoulliGaussianPrior, sigma, gamma, x, u):

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 
 from .denoiser import InducedRegularizer, MmseDenoiser
 from .errors import ConfigurationError, NumericalFailureError
@@ -115,6 +114,11 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
+        for name in ("solvers", "measurement_rates", "lambda_grid", "sigma_grid"):
+            value = getattr(self, name)
+            # a string is iterable too, and would be read one character per entry
+            if isinstance(value, str):
+                raise ConfigurationError(f"{name} must be a list, got the string {value!r}")
         object.__setattr__(self, "solvers", tuple(str(s) for s in self.solvers))
         for name in ("measurement_rates", "lambda_grid", "sigma_grid"):
             values = tuple(getattr(self, name))
@@ -636,6 +640,9 @@ def run_validation_suite(
         return status, f"min slope {min_slope:.3e}, expansive max slope {max_slope:.3f}"
 
     def check_normalization(tol):
+        # imported here so that no other command pays for loading scipy
+        from scipy.integrate import quad
+
         worst = 0.0
         for alpha, sigma_x, sigma in _VALIDATION_PRIORS:
             prior = BernoulliGaussianPrior(alpha, sigma_x)

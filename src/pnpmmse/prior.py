@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "BernoulliGaussianPrior",
@@ -93,7 +92,7 @@ def _log_odds(prior, sigma, z):
     """``(gap, s2, v)``: the log spike term minus the log slab term at ``z``.
 
     ``gap`` is ``-inf`` when ``alpha`` is 1; ``s2`` and ``v`` are as in
-    :func:`_mixture_stats`, and the slab responsibility is ``expit(-gap)``.
+    :func:`_mixture_stats`, and the slab responsibility is ``_logistic(-gap)``.
     """
     v = sigma**2
     s2 = prior.sigma_x**2 + v
@@ -112,6 +111,17 @@ def _log_odds(prior, sigma, z):
     return gap, s2, v
 
 
+def _logistic(x):
+    """``1 / (1 + exp(-x))``, exactly 0, 1/2 and 1 at ``-inf``, 0 and ``inf``.
+
+    ``exp(-x)`` overflows for ``x`` below about -709.8; the quotient is then
+    0, within a few subnormals of the true value, so the overflow is not
+    reported.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _log_density(prior, sigma, z):
     """Log density of the smoothed marginal at ``z``, from the log odds."""
     gap, s2, _ = _log_odds(prior, sigma, z)
@@ -125,11 +135,11 @@ def _mixture_stats(prior, sigma, z):
 
     Returns ``(w_slab, w_spike, s2, v)`` where ``s2`` is the slab channel
     variance ``sigma_x**2 + sigma**2`` and ``v = sigma**2``.  The
-    responsibilities are a logistic transform of the log-density gap,
-    which stays exact when one component underflows.
+    responsibilities are :func:`_logistic` of the log-density gap, which
+    stays exact when one component underflows.
     """
     gap, s2, v = _log_odds(prior, sigma, z)
-    return expit(-gap), expit(gap), s2, v
+    return _logistic(-gap), _logistic(gap), s2, v
 
 
 def marginal_density(prior: BernoulliGaussianPrior, sigma, z):

@@ -3,7 +3,11 @@
 import functools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -528,3 +532,34 @@ class TestCli:
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
         assert main(["validate", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("solvers", "pnp,lasso"), ("measurement_rates", "0.3"), ("lambda_grid", "0.01"), ("sigma_grid", "0.1")],
+    )
+    def test_string_for_a_list_is_a_configuration_error(self, tmp_path, capsys, field, value):
+        # iterated as a list, the string would be read one character per entry
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"{field} must be a list, got the string {value!r}" in capsys.readouterr().err
+
+
+START_UP_PROBE = """
+import json, sys
+import pnpmmse, pnpmmse.cli
+from pnpmmse.experiment import ExperimentConfig
+ExperimentConfig(n=64, measurement_rates=[0.3, 0.8]).validate()
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_start_up_loads_no_scipy():
+    # only validate's quadrature check needs scipy; every other command starts without it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", START_UP_PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []

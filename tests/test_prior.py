@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from pnpmmse import (
     BernoulliGaussianPrior,
@@ -13,6 +14,7 @@ from pnpmmse import (
     neg_log_marginal_second,
     sample_signal,
 )
+from pnpmmse.prior import _logistic
 
 from oracles import central_diff, gaussian_pdf, quad_marginal_density
 
@@ -170,3 +172,23 @@ class TestNegLogMarginal:
         assert np.isfinite(value)
         assert np.isfinite(neg_log_marginal_prime(prior, 0.1, 1e6))
         assert np.isfinite(neg_log_marginal_second(prior, 0.1, 1e6))
+
+
+class TestLogistic:
+    def test_matches_scipy_expit(self):
+        x = np.concatenate(
+            [
+                [0.0, -0.0, np.inf, -np.inf, 1e4, -1e4],
+                np.linspace(-40.0, 40.0, 8001),
+                np.linspace(36.0, 40.0, 4001),
+                np.linspace(-40.0, -36.0, 4001),
+                # exp(-x) overflows below about -709.8; the result is subnormal below about -708.4
+                np.linspace(-745.0, -700.0, 9001),
+            ]
+        )
+        np.testing.assert_array_max_ulp(_logistic(x), expit(x), maxulp=4)
+
+    def test_exact_at_infinities_and_zero(self):
+        assert _logistic(-np.inf) == 0.0
+        assert _logistic(0.0) == 0.5
+        assert _logistic(np.inf) == 1.0
