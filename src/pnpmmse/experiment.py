@@ -271,6 +271,9 @@ def _run_trial(config: ExperimentConfig, rate_index: int, trial: int, pnp_object
     """One ISTA block over the tuned solvers' grids, then message passing.
 
     ``pnp_objective`` traces every denoiser level's objective in the block.
+    Without it the trial is a sweep cell, which reads only each level's
+    final SNR, so the denoiser levels record only at the start and the
+    last iteration.
     """
     outcome = TrialOutcome(rate_index, trial)
     try:
@@ -282,7 +285,8 @@ def _run_trial(config: ExperimentConfig, rate_index: int, trial: int, pnp_object
         # each tuned solver's grid is one column group of a single ISTA block
         grids = {}
         if "pnp" in config.solvers:
-            group = _pnp_group(prior, config.sigma_grid, gamma, _snr_trace(interval, pnp_objective))
+            pnp_trace = _snr_trace(interval, objective=True) if pnp_objective else _snr_trace(config.max_iter)
+            group = _pnp_group(prior, config.sigma_grid, gamma, pnp_trace)
             grids["pnp"] = ("sigma", config.sigma_grid, group)
         if "lasso" in config.solvers:
             lam_scale = float(np.max(np.abs(problem.operator.adjoint(problem.y))))
