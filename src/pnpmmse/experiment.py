@@ -335,9 +335,11 @@ def _run_trials(config: ExperimentConfig, rate_indices, pnp_objective: bool) -> 
 def _held_to_length(values: np.ndarray, length: int) -> np.ndarray:
     """Extend a per-iteration series by holding its last value.
 
-    Only early-stopped (diverged) message-passing traces are shorter than
-    the common grid; the estimate is constant after the stop, so holding
-    the last record is the faithful continuation.
+    Only message-passing traces are shorter than the common grid: they stop
+    at their fixed point, where the estimate no longer changes, so holding
+    the last record is the faithful continuation.  The SNR rule that also
+    stops them (``diverged``) holds its last record the same way, and stays
+    only until the benchmark reference is captured again without it.
     """
     if len(values) >= length:
         return values[:length]

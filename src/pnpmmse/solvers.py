@@ -1,10 +1,11 @@
 """Iterative solvers: PnP-ISTA, LASSO via ISTA, and MMSE message passing.
 
-All solvers start from the zero vector, run a fixed number of iterations,
-and return a :class:`SolverTrace` with per-iteration records.  PnP-ISTA
-additionally evaluates the explicit objective (fidelity plus the induced
-regularizer) and its gradient along the trajectory, which is what the
-descent and stationarity checks consume.  PnP-ISTA and LASSO share one
+All solvers start from the zero vector, run at most a fixed number of
+iterations, and return a :class:`SolverTrace` with per-iteration records
+and the reason the run stopped; message passing stops at its fixed point.
+PnP-ISTA additionally evaluates the explicit objective (fidelity plus the
+induced regularizer) and its gradient along the trajectory, which is what
+the descent and stationarity checks consume.  PnP-ISTA and LASSO share one
 ISTA loop.  It runs a block of iterates made of column groups, each group
 a grid of parameter values for one prox, and every column of the block
 shares each matrix product; a trial's denoiser-level grid and its
@@ -79,7 +80,11 @@ class SolverTrace:
     ``objective`` and ``grad_norm`` are ``None`` for solvers that do not
     minimize an explicit objective (message passing) or do not track the
     quantity.  ``iterations`` holds the iteration numbers the records
-    correspond to, always starting at 0.
+    correspond to, always starting at 0.  ``stop_reason`` says why the run
+    ended at ``iterations_run``: ``"max_iter"`` (the budget ran out),
+    ``"grad_rtol"`` (ISTA's opt-in gradient tolerance was met),
+    ``"fixed_point"`` (message passing stopped changing) or ``"diverged"``
+    (message passing's SNR rule fired, which ``diverged`` also says).
     """
 
     iterations: np.ndarray
@@ -89,6 +94,7 @@ class SolverTrace:
     grad_norm: np.ndarray | None = None
     snr_db: np.ndarray | None = None
     diverged: bool = False
+    stop_reason: str = "max_iter"
 
 
 @dataclass
@@ -103,7 +109,7 @@ class _Recorder:
         return t % self.options.interval == 0 or t == max_iter
 
     def build(
-        self, x: np.ndarray, t: int, diverged: bool = False, column: int | None = None
+        self, x: np.ndarray, t: int, stop_reason: str = "max_iter", column: int | None = None
     ) -> SolverTrace:
         """Trace of one run; ``column`` picks one run of a block whose records are rows."""
         opts = self.options
@@ -121,7 +127,8 @@ class _Recorder:
             objective=series(self.objective, opts.objective),
             grad_norm=series(self.grad_norm, opts.gradient),
             snr_db=series(self.snr, opts.snr),
-            diverged=diverged,
+            diverged=stop_reason == "diverged",
+            stop_reason=stop_reason,
         )
 
 
@@ -225,6 +232,7 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step, grad_rtol=None):
     g = gradient(x)
     # both proxes are odd, so the zero start is its own pre-image
     record(0, x, x, g)
+    stop_reason = "max_iter"
     t = 0
     for t in range(1, max_iter + 1):
         z = x - gamma * g
@@ -237,9 +245,10 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step, grad_rtol=None):
         if grad_rtol is not None and all(
             len(rec.grad_norm) > 1 and np.all(rec.grad_norm[-1] <= grad_rtol * rec.grad_norm[1]) for rec in recs
         ):
+            stop_reason = "grad_rtol"
             break
     return [
-        [rec.build(xj.copy(), t, column=j) for j, xj in enumerate(x[:, cols].T)]
+        [rec.build(xj.copy(), t, stop_reason, column=j) for j, xj in enumerate(x[:, cols].T)]
         for rec, cols in zip(recs, columns)
     ]
 
@@ -378,6 +387,9 @@ def lasso_ista(
 
 
 _GAMP_SLOPE_EPS = 1e-12
+# Message passing stops once no component of the estimate moves by more
+# than this share of the estimate's largest magnitude in one iteration.
+_GAMP_FIXED_POINT_RTOL = 1e-12
 _GAMP_PREC_MIN = 1e-12
 _GAMP_PREC_MAX = 1e12
 
@@ -401,9 +413,16 @@ def gamp(
     estimate reproduces the scalar denoiser applied to ``y``.  ``damping``
     in (0, 1] blends each new extrinsic message with the previous one
     (1 means undamped).  No objective is recorded: the iteration minimizes
-    no explicit cost.  The run stops early with ``diverged=True`` once the
-    SNR has stayed more than 20 dB below its running peak for 10
-    consecutive records.
+    no explicit cost.
+
+    The run stops at its fixed point, with ``stop_reason="fixed_point"``,
+    once one iteration moves no component of the estimate by more than
+    ``1e-12`` times its largest magnitude (the zero start does not count);
+    the iteration that stops is always recorded.  A second rule reads the
+    true signal and stays only until the benchmark reference is captured
+    again without it: the run also stops, with ``diverged=True`` and
+    ``stop_reason="diverged"``, once the traced SNR has stayed more than
+    20 dB below its running peak for 10 consecutive records.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must be in (0, 1], got {damping}")
@@ -429,9 +448,10 @@ def gamp(
 
     best_snr = -np.inf
     below_peak = 0
-    diverged = False
+    stop_reason = "max_iter"
     t = 0
     for t in range(1, max_iter + 1):
+        x_prev = x_hat
         v1 = 1.0 / prec_prior
         x_hat, tau_x = posterior_moments(prior, np.sqrt(v1), r_prior)
         if not (np.all(np.isfinite(x_hat)) and np.all(np.isfinite(tau_x))):
@@ -457,7 +477,9 @@ def gamp(
         prec_prior = damping * prec_new + (1.0 - damping) * prec_prior
         r_prior = damping * r_new + (1.0 - damping) * r_prior
 
-        if rec.due(t, max_iter):
+        scale = float(np.max(np.abs(x_hat)))
+        settled = scale > 0.0 and float(np.max(np.abs(x_hat - x_prev))) <= _GAMP_FIXED_POINT_RTOL * scale
+        if settled or rec.due(t, max_iter):
             rec.iterations.append(t)
             if trace.snr:
                 current = snr_db(x_hat, problem.x_true)
@@ -465,9 +487,12 @@ def gamp(
                 best_snr = max(best_snr, current)
                 below_peak = below_peak + 1 if current < best_snr - DIVERGENCE_DROP_DB else 0
                 if below_peak >= DIVERGENCE_PATIENCE:
-                    diverged = True
+                    stop_reason = "diverged"
                     break
-    return rec.build(x_hat, t, diverged=diverged)
+        if settled:
+            stop_reason = "fixed_point"
+            break
+    return rec.build(x_hat, t, stop_reason)
 
 
 def mm_surrogate(

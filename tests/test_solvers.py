@@ -24,7 +24,16 @@ from pnpmmse import (
     soft_threshold,
 )
 
-from oracles import lasso_coordinate_descent, lasso_objective, ridge_stationary_point
+from pnpmmse.experiment import ExperimentConfig
+from pnpmmse.experiment import make_problem as make_trial_problem
+
+from oracles import (
+    GAMP_SEED_1000_SNR_500_DB,
+    GAMP_SEED_3_SNR_AT_STOP_DB,
+    lasso_coordinate_descent,
+    lasso_objective,
+    ridge_stationary_point,
+)
 
 
 def make_problem(rng, n=64, m=48, alpha=0.2, snr=20.0, sigma_e=None):
@@ -113,6 +122,7 @@ class TestPnpIsta:
         monkeypatch.setattr(MmseDenoiser, "invert", refuse)
         trace = pnp_ista(problem, MmseDenoiser(prior, 0.2), 0.99 / lip, max_iter=50)
         assert trace.iterations_run == 50
+        assert trace.stop_reason == "max_iter"
         assert np.all(np.isfinite(trace.objective)) and np.all(np.isfinite(trace.grad_norm))
 
     def test_fixed_point_consistency_at_convergence(self):
@@ -186,6 +196,7 @@ class TestPnpIsta:
             grad_rtol=1e-6,
         )
         assert trace.iterations_run < 5000
+        assert trace.stop_reason == "grad_rtol"
         assert trace.grad_norm[-1] <= 1e-6 * trace.grad_norm[1]
 
 
@@ -306,9 +317,29 @@ class TestGamp:
         rng = np.random.default_rng(17)
         prior, problem = make_problem(rng, n=32, m=26)
         trace = gamp(problem, prior, max_iter=25)
-        np.testing.assert_array_equal(trace.iterations, np.arange(26))
-        assert len(trace.snr_db) == 26
+        np.testing.assert_array_equal(trace.iterations, np.arange(trace.iterations_run + 1))
+        assert len(trace.snr_db) == trace.iterations_run + 1
         assert not trace.diverged
+
+    @staticmethod
+    def sweep_low_problem(program_seed):
+        """The rate-0.3 cell of the benchmark's sweep-low command at ``program_seed``."""
+        config = ExperimentConfig(seed=program_seed, n=1024, alpha=0.05, measurement_rates=(0.3, 0.4), trials=1)
+        return make_trial_problem(config, 0, 0)
+
+    def test_stops_at_its_fixed_point(self):
+        trace = gamp(self.sweep_low_problem(1000), BernoulliGaussianPrior(0.05))
+        assert trace.stop_reason == "fixed_point" and not trace.diverged
+        assert trace.iterations_run <= 150
+        # the stopping iteration is recorded
+        assert trace.iterations[-1] == trace.iterations_run
+        assert abs(trace.snr_db[-1] - GAMP_SEED_1000_SNR_500_DB) <= 1e-9
+
+    def test_snr_rule_stops_the_overshooting_cell_as_before(self):
+        trace = gamp(self.sweep_low_problem(3), BernoulliGaussianPrior(0.05))
+        assert trace.stop_reason == "diverged" and trace.diverged
+        assert trace.iterations_run == 12
+        assert trace.snr_db[-1] == GAMP_SEED_3_SNR_AT_STOP_DB
 
 
 class TestMmSurrogate:
