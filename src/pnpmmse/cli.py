@@ -18,6 +18,7 @@ from pathlib import Path
 from .errors import ConfigurationError, NumericalFailureError
 from .experiment import (
     ExperimentConfig,
+    make_output_dir,
     run_convergence_experiment,
     run_rate_sweep,
     run_validation_suite,
@@ -132,8 +133,10 @@ def main(argv: list[str] | None = None) -> int:
             for name, path in paths.items():
                 print(f"{name}: {path}")
         elif args.command == "validate":
+            # an unusable --out fails before the suite runs, not after
+            out = make_output_dir(config.output_dir)
             report = run_validation_suite(config)
-            path = write_validation_report(report, config.output_dir)
+            path = write_validation_report(report, out)
             for check in report.checks:
                 print(f"{check.status:4s} {check.name}: {check.detail}")
             print(f"report: {path}")

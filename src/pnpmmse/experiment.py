@@ -362,6 +362,16 @@ def _format_value(value):
     return value
 
 
+def make_output_dir(path: str | Path) -> Path:
+    """Create the output directory; a path that cannot be one is a configuration error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {str(out)!r}: {exc}") from exc
+    return out
+
+
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -397,8 +407,7 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir: str | Path | N
         raise ConfigurationError("the convergence experiment requires the pnp solver")
     if len(config.measurement_rates) != 1:
         raise ConfigurationError("the convergence experiment uses a single measurement rate")
-    out = Path(out_dir if out_dir is not None else config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(out_dir if out_dir is not None else config.output_dir)
 
     outcomes = [o for o in _run_trials(config, [0], pnp_objective=True) if o.error is None]
 
@@ -438,8 +447,7 @@ def run_rate_sweep(config: ExperimentConfig, out_dir: str | Path | None = None) 
     config.validate()
     if len(config.measurement_rates) < 2:
         raise ConfigurationError("the rate sweep needs at least two measurement rates")
-    out = Path(out_dir if out_dir is not None else config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(out_dir if out_dir is not None else config.output_dir)
 
     outcomes = _run_trials(config, range(len(config.measurement_rates)), pnp_objective=False)
     ok = [o for o in outcomes if o.error is None]
@@ -789,8 +797,6 @@ def run_validation_suite(
 
 
 def write_validation_report(report: ValidationReport, out_dir: str | Path) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "validation.csv"
+    path = make_output_dir(out_dir) / "validation.csv"
     _write_csv(path, VALIDATION_HEADER, [(c.name, c.status, c.detail) for c in report.checks])
     return path

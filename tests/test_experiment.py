@@ -35,7 +35,7 @@ from pnpmmse.experiment import (
     trial_rng,
 )
 from pnpmmse.prior import BernoulliGaussianPrior, sample_signal
-from pnpmmse import linear_model, solvers
+from pnpmmse import cli, linear_model, solvers
 from pnpmmse.linear_model import MeasurementOperator
 from pnpmmse.solvers import lasso_ista_grid, pnp_ista_grid
 
@@ -527,6 +527,19 @@ class TestCli:
         cfg.write_text('{"n": 16, "trials": 1, "max_iter": 5, "lambda_grid": [0.01, NaN]}')
         argv = ["sweep", "--config", str(cfg), "--rates", "0.5,0.8", "--out", str(tmp_path / "out")]
         assert main(argv) == 2
+
+    @pytest.mark.parametrize("command, runner", [("sweep", "_run_trials"), ("validate", "run_validation_suite")])
+    def test_unusable_output_dir_is_a_configuration_error(self, tmp_path, monkeypatch, capsys, command, runner):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the output directory was checked")
+
+        # the CLI runs the validation suite through its own imported name
+        monkeypatch.setattr(cli if runner == "run_validation_suite" else experiment, runner, refuse)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = [command, "--n", "16", "--trials", "1", "--rates", "0.5,0.8", "--max-iter", "3"]
+        assert main(argv + ["--out", str(blocker / "sub")]) == 2
+        assert "configuration error: cannot create output directory" in capsys.readouterr().err
 
     def test_bad_config_file_exit_code(self, tmp_path):
         cfg = tmp_path / "broken.json"
