@@ -528,13 +528,17 @@ class TestCli:
         argv = ["sweep", "--config", str(cfg), "--rates", "0.5,0.8", "--out", str(tmp_path / "out")]
         assert main(argv) == 2
 
-    @pytest.mark.parametrize("command, runner", [("sweep", "_run_trials"), ("validate", "run_validation_suite")])
-    def test_unusable_output_dir_is_a_configuration_error(self, tmp_path, monkeypatch, capsys, command, runner):
+    # the CLI calls the validation suite through its own imported name
+    @pytest.mark.parametrize(
+        "command, module, runner",
+        [("sweep", experiment, "_run_trials"), ("validate", cli, "run_validation_suite")],
+        ids=["sweep", "validate"],
+    )
+    def test_unusable_output_dir_is_a_configuration_error(self, tmp_path, monkeypatch, capsys, command, module, runner):
         def refuse(*args, **kwargs):
             raise AssertionError("ran before the output directory was checked")
 
-        # the CLI runs the validation suite through its own imported name
-        monkeypatch.setattr(cli if runner == "run_validation_suite" else experiment, runner, refuse)
+        monkeypatch.setattr(module, runner, refuse)
         blocker = tmp_path / "file"
         blocker.write_text("")
         argv = [command, "--n", "16", "--trials", "1", "--rates", "0.5,0.8", "--max-iter", "3"]
