@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pnpmmse import (
     BernoulliGaussianPrior,
@@ -30,6 +32,7 @@ from pnpmmse.experiment import make_problem as make_trial_problem
 from oracles import (
     GAMP_SEED_1000_SNR_500_DB,
     GAMP_SEED_3_SNR_AT_STOP_DB,
+    dense_largest_eigenvalue,
     lasso_coordinate_descent,
     lasso_objective,
     ridge_stationary_point,
@@ -214,6 +217,48 @@ def test_traced_objectives_match_oracles_on_both_normal_routes(m):
     lam = 0.05 * float(np.max(np.abs(problem.operator.adjoint(problem.y))))
     trace = lasso_ista(problem, lam, gamma, max_iter=50)
     assert trace.objective[-1] == pytest.approx(lasso_objective(problem, lam, trace.final_iterate), rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.floats(0.05, 0.5),
+    rate=st.floats(0.1, 1.2),
+    step=st.floats(0.05, 0.999),
+    sigma=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(alpha=0.2, rate=0.8, step=0.99, sigma=0.1, seed=0)
+@example(alpha=0.05, rate=0.3, step=0.99, sigma=0.05, seed=1)
+@example(alpha=0.1, rate=0.9, step=0.999, sigma=0.3, seed=2)
+def test_gradient_energy_is_bounded_by_the_objective_decrease(alpha, rate, step, sigma, seed):
+    """The theorem's rate: ``sum_{t=1..T} |grad f(x_t)|^2 <= C (f(x_0) - f(x_T))``.
+
+    ``f = g + h`` with ``g`` the fidelity, ``L``-smooth for the exact
+    ``L``, and ``h`` the induced regularizer, whose prox at step ``gamma``
+    is the denoiser, so ``x_{t+1} = D(z_t)`` with ``z_t = x_t - gamma
+    grad g(x_t)``.  Prox optimality of ``x_{t+1}`` against ``x_t`` gives
+    ``h(x_{t+1}) + <grad g(x_t), x_{t+1} - x_t> + |x_{t+1} - x_t|^2/(2 gamma)
+    <= h(x_t)``, and the descent lemma gives ``g(x_{t+1}) <= g(x_t) +
+    <grad g(x_t), x_{t+1} - x_t> + (L/2)|x_{t+1} - x_t|^2``.  Together:
+    ``f(x_{t+1}) <= f(x_t) - (1/(2 gamma) - L/2) |x_{t+1} - x_t|^2``.
+    The regularizer's gradient at ``x_{t+1}`` is ``(z_t - x_{t+1})/gamma``,
+    so ``grad f(x_{t+1}) = grad g(x_{t+1}) - grad g(x_t) + (x_t -
+    x_{t+1})/gamma``, of norm at most ``(L + 1/gamma)|x_{t+1} - x_t|``.
+    Squaring, chaining and summing over ``t = 0..T-1`` gives the bound with
+    ``C = (L + 1/gamma)^2 / (1/(2 gamma) - L/2)``, finite only for
+    ``gamma L < 1``, so ``gamma L = 1`` and ``allow_large_step`` runs are
+    left out.  Both sides come from the trace's ``objective`` and
+    ``grad_norm``; the only slack is ``1e-12 |f(x_0)|`` of rounding in
+    the objective records.
+    """
+    n = 256
+    prior, problem = make_problem(np.random.default_rng(seed), n=n, m=max(1, round(rate * n)), alpha=alpha)
+    lip = dense_largest_eigenvalue(problem.operator)
+    gamma = step / lip
+    trace = pnp_ista(problem, MmseDenoiser(prior, sigma), gamma, max_iter=200)
+    f, grad_norm = trace.objective, trace.grad_norm
+    bound = (lip + 1.0 / gamma) ** 2 / (0.5 / gamma - 0.5 * lip)
+    assert np.sum(grad_norm[1:] ** 2) <= bound * (f[0] - f[-1] + 1e-12 * abs(f[0]))
 
 
 class TestLassoIsta:
