@@ -80,8 +80,8 @@ def _induced_terms(prior: BernoulliGaussianPrior, sigma, gamma, x, u):
 
     The terms are ``-(x - u)**2/(2*gamma) + (sigma**2/gamma) * nll(u)`` and
     the gradient is ``(u - x)/gamma``, where ``u`` is the pre-image of ``x``
-    under the denoiser at level ``sigma``.  ``sigma`` may be one level per
-    column of a block.
+    under the denoiser at level ``sigma``.  ``sigma`` may be a column of
+    levels, one per row of a block.
     """
     nll = neg_log_marginal(prior, sigma, u)
     terms = -0.5 / gamma * (x - u) ** 2 + sigma**2 / gamma * nll

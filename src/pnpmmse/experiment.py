@@ -282,7 +282,7 @@ def _run_trial(config: ExperimentConfig, rate_index: int, trial: int, pnp_object
         gamma, override = _resolve_gamma(config, problem.operator)
         interval = config.trace_interval
 
-        # each tuned solver's grid is one column group of a single ISTA block
+        # each tuned solver's grid is one run group of a single ISTA block
         grids = {}
         if "pnp" in config.solvers:
             pnp_trace = _snr_trace(interval, objective=True) if pnp_objective else _snr_trace(config.max_iter)
@@ -399,7 +399,7 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir: str | Path | N
     For each trial the PnP denoiser level and the LASSO weight are chosen
     by grid search maximizing that trial's final SNR.  The grids run as one
     ISTA block that also traces the objective of every denoiser level, so
-    the cost trace is the winning level's column of that block.  Emits
+    the cost trace is the winning level's run in that block.  Emits
     ``convergence_cost.csv``, ``convergence_snr.csv``, ``selections.csv``.
     """
     config.validate()

@@ -66,15 +66,15 @@ class MeasurementOperator:
         return gram
 
     def normal(self, x: np.ndarray) -> np.ndarray:
-        """``H^T H x`` for a vector or for an ``n x K`` block, one vector per column.
+        """``H^T H x`` for a vector, or ``X H^T H`` for a ``K x n`` block, one run per row.
 
-        One product with :attr:`gram` costs ``n^2`` multiply-adds per column
+        One product with :attr:`gram` costs ``n^2`` multiply-adds per run
         and a forward plus an adjoint product ``2mn``, so the kept Gram
         matrix is used exactly when ``2m > n``; otherwise this product does
         not form it.
         """
         if 2 * self.m > self.n:
-            return self.gram @ x
+            return x @ self.gram
         return self.adjoint(self.forward(x))
 
     @property
@@ -86,16 +86,12 @@ class MeasurementOperator:
         return self.matrix.shape[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
+        """``H x`` for a vector, or ``X H^T`` for a ``K x n`` block, one run per row."""
+        return self.matrix @ x if np.ndim(x) == 1 else x @ self.matrix.T
 
     def adjoint(self, r: np.ndarray) -> np.ndarray:
-        """``H^T r`` for a vector or for an ``m x K`` block, one vector per column.
-
-        Formed as ``(r^T H)^T``: the product then reads ``H`` in its stored
-        row-major order, which for a block is faster than ``H^T r`` through
-        the transposed matrix.  A block result is a column-major view.
-        """
-        return (r.T @ self.matrix).T
+        """``H^T r`` for a vector, or ``R H`` for a ``K x m`` block, one run per row."""
+        return r @ self.matrix
 
 
 @dataclass(frozen=True)
@@ -214,25 +210,33 @@ def lipschitz_constant(
     from below.  The start vector is drawn from a fixed seed, keeping the
     estimate deterministic for a given matrix.  If the relative change has
     not dropped below ``tol`` within ``max_iter`` iterations the last
-    estimate is returned with ``converged=False``.  Each step is one
-    :meth:`~MeasurementOperator.normal` product.
+    estimate is returned with ``converged=False``.  When ``m < n`` it steps
+    ``u = H v`` through ``S = H H^T``, formed here and not kept (estimate
+    ``|u|^2``, norm ``|H^T H v| = sqrt(u^T S u)``, ``u <- S u / norm``);
+    otherwise each step is one ``op.normal`` product.
     """
-    if not np.any(operator.matrix):
+    h = operator.matrix
+    if not np.any(h):
         raise ValueError("operator must be nonzero")
+    s = h @ h.T if operator.m < operator.n else None
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(operator.n)
-    v /= np.linalg.norm(v)
-    estimate = 0.0
+    u, estimate = None, 0.0
     for it in range(1, max_iter + 1):
-        w = operator.normal(v)
-        new_estimate = float(v @ w)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            # v landed exactly in the null space; restart deterministically.
+        if u is None:
             v = rng.standard_normal(operator.n)
             v /= np.linalg.norm(v)
+            u = v if s is None else h @ v
+        if s is None:
+            w = operator.normal(u)
+            new_estimate, norm_w = float(u @ w), np.linalg.norm(w)
+        else:
+            w = s @ u
+            new_estimate, norm_w = float(u @ u), np.sqrt(max(u @ w, 0.0))
+        if norm_w == 0.0:
+            # v landed exactly in the null space; restart deterministically.
+            u = None
             continue
-        v = w / norm_w
+        u = w / norm_w
         if it > 1 and abs(new_estimate - estimate) <= tol * abs(new_estimate):
             return LipschitzEstimate(new_estimate, True, it)
         estimate = new_estimate

@@ -6,12 +6,11 @@ and the reason the run stopped; message passing stops at its fixed point.
 PnP-ISTA additionally evaluates the explicit objective (fidelity plus the
 induced regularizer) and its gradient along the trajectory, which is what
 the descent and stationarity checks consume.  PnP-ISTA and LASSO share one
-ISTA loop.  It runs a block of iterates made of column groups, each group
-a grid of parameter values for one prox, and every column of the block
+ISTA loop.  It runs a block of iterates, one run per row, made of run
+groups, each a grid of parameter values for one prox, and every run
 shares each matrix product; a trial's denoiser-level grid and its
 LASSO-weight grid run as one such block.  Each iteration's fidelity
-gradient costs one ``op.normal`` product (:meth:`MeasurementOperator.normal`)
-for the whole block.
+gradient costs one ``op.normal`` product for the whole block.
 """
 
 from __future__ import annotations
@@ -109,16 +108,16 @@ class _Recorder:
         return t % self.options.interval == 0 or t == max_iter
 
     def build(
-        self, x: np.ndarray, t: int, stop_reason: str = "max_iter", column: int | None = None
+        self, x: np.ndarray, t: int, stop_reason: str = "max_iter", run: int | None = None
     ) -> SolverTrace:
-        """Trace of one run; ``column`` picks one run of a block whose records are rows."""
+        """Trace of one run; ``run`` picks one run of a block's records."""
         opts = self.options
 
         def series(values, enabled):
             if not (enabled and values):
                 return None
             values = np.asarray(values)
-            return values if column is None else values[:, column]
+            return values if run is None else values[:, run]
 
         return SolverTrace(
             iterations=np.asarray(self.iterations, dtype=int),
@@ -147,12 +146,12 @@ def _require_finite(x: np.ndarray, t: int) -> None:
 
 
 @dataclass(frozen=True)
-class _ColumnGroup:
-    """Adjacent columns of an ISTA block that share a prox, a penalty and a trace.
+class _RunGroup:
+    """Adjacent rows of an ISTA block that share a prox, a penalty and a trace.
 
-    ``prox`` maps the group's ``n x width`` slice of pre-denoise iterates,
-    so each column may carry its own parameter; ``penalty(X, Z)`` returns
-    the per-column regularizer values and gradients at ``X = prox(Z)``.
+    ``prox`` maps the group's ``width x n`` slice of pre-denoise iterates,
+    so each run may carry its own parameter; ``penalty(X, Z)`` returns
+    the per-run regularizer values and gradients at ``X = prox(Z)``.
     """
 
     prox: Callable[[np.ndarray], np.ndarray]
@@ -162,19 +161,19 @@ class _ColumnGroup:
 
 
 def _ista(problem, gamma, groups, max_iter, allow_large_step, grad_rtol=None):
-    """The ISTA loop over one block of iterates, one run per column.
+    """The ISTA loop over one ``K x n`` block of iterates, one run per row.
 
-    The block is the column groups side by side.  Each column steps
-    ``x <- prox(x - gamma * grad)`` from zero with its group's prox.  The
-    fidelity gradient ``G = H^T H X - H^T y`` at the new iterate comes for
-    every group at once from one ``op.normal`` product per iteration.  It
+    The block is the run groups stacked.  Each run steps ``x <- prox(x -
+    gamma * grad)`` from zero with its group's prox, written into its row.
+    The fidelity gradient ``G = X H^T H - H^T y`` at the new iterate comes
+    for every group at once from one ``op.normal`` product per iteration.  It
     serves both the record (fidelity, gradient ``G + grad h``) and the next
-    step: each column's fidelity ``0.5 * |y - H x|^2`` is read from it as
+    step: each run's fidelity ``0.5 * |y - H x|^2`` is read from it as
     ``0.5 * (x^T g - (H^T y)^T x + |y|^2)``.  Each group records what its
     own ``TraceOptions`` asks for; its penalty runs only when the objective
-    or the gradient is traced.  A column that turns non-finite or breaks
+    or the gradient is traced.  A run that turns non-finite or breaks
     descent fails the whole block, and ``grad_rtol`` stops it only once
-    every column traces its gradient and has met the tolerance.  Returns
+    every run traces its gradient and has met the tolerance.  Returns
     one list of traces per group, in order.
     """
     if max_iter < 1:
@@ -192,91 +191,86 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step, grad_rtol=None):
 
     def gradient(x):
         g = operator.normal(x)
-        g -= hty[:, None]
+        g -= hty
         return g
 
     edges = np.cumsum([0] + [group.width for group in groups])
-    columns = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    rows = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     recs = [_Recorder(group.trace) for group in groups]
-    x = np.zeros((problem.n, edges[-1]))
-
-    def record_group(rec, group, t, cols, x, z, g):
-        opts = rec.options
-        x, z, g = x[:, cols], z[:, cols], g[:, cols]
-        if opts.objective or opts.gradient:
-            h_val, h_grad = group.penalty(x, z)
-        rec.iterations.append(t)
-        if opts.objective:
-            f = 0.5 * (np.einsum("ij,ij->j", x, g) - hty @ x + y_energy) + h_val
-            if rec.objective and not allow_large_step:
-                f_prev = rec.objective[-1]
-                f_scale = np.maximum(np.abs(rec.objective[0]), 1e-300)
-                rises = np.flatnonzero(f > f_prev + MONOTONE_RTOL * f_scale)
-                if rises.size:
-                    j = rises[0]
-                    raise NumericalFailureError(
-                        f"objective increased at iteration {t}: {float(f_prev[j])} -> {float(f[j])}",
-                        iteration=t,
-                    )
-            rec.objective.append(f)
-        if opts.gradient:
-            rec.grad_norm.append(np.linalg.norm(g + h_grad, axis=0))
-        if opts.snr:
-            rec.snr.append(snr_db(x, problem.x_true))
+    x = np.zeros((edges[-1], problem.n))
 
     def record(t, x, z, g):
-        for rec, group, cols in zip(recs, groups, columns):
-            if rec.due(t, max_iter):
-                record_group(rec, group, t, cols, x, z, g)
+        for rec, group, r in zip(recs, groups, rows):
+            if not rec.due(t, max_iter):
+                continue
+            opts, xr, gr = rec.options, x[r], g[r]
+            if opts.objective or opts.gradient:
+                h_val, h_grad = group.penalty(xr, z[r])
+            rec.iterations.append(t)
+            if opts.objective:
+                f = 0.5 * (np.einsum("ij,ij->i", xr, gr) - xr @ hty + y_energy) + h_val
+                if rec.objective and not allow_large_step:
+                    f_prev = rec.objective[-1]
+                    f_scale = np.maximum(np.abs(rec.objective[0]), 1e-300)
+                    rises = np.flatnonzero(f > f_prev + MONOTONE_RTOL * f_scale)
+                    if rises.size:
+                        j = rises[0]
+                        raise NumericalFailureError(
+                            f"objective increased at iteration {t}: {float(f_prev[j])} -> {float(f[j])}",
+                            iteration=t,
+                        )
+                rec.objective.append(f)
+            if opts.gradient:
+                rec.grad_norm.append(np.linalg.norm(gr + h_grad, axis=1))
+            if opts.snr:
+                rec.snr.append(snr_db(xr.T, problem.x_true))
 
     g = gradient(x)
     # both proxes are odd, so the zero start is its own pre-image
     record(0, x, x, g)
     stop_reason = "max_iter"
-    t = 0
     for t in range(1, max_iter + 1):
-        z = x - gamma * g
+        # z = x - gamma * g, formed in g's buffer: g is not read again
+        z = np.add(x, np.multiply(g, -gamma, out=g), out=g)
         _require_finite(z, t)
-        x = np.concatenate([group.prox(z[:, cols]) for group, cols in zip(groups, columns)], axis=1)
+        for group, r in zip(groups, rows):
+            x[r] = group.prox(z[r])
         _require_finite(x, t)
         g = gradient(x)
         record(t, x, z, g)
-        # grad_norm[1] is each column's gradient norm at the first record after the start
+        # grad_norm[1] is each run's gradient norm at the first record after the start
         if grad_rtol is not None and all(
             len(rec.grad_norm) > 1 and np.all(rec.grad_norm[-1] <= grad_rtol * rec.grad_norm[1]) for rec in recs
         ):
             stop_reason = "grad_rtol"
             break
-    return [
-        [rec.build(xj.copy(), t, stop_reason, column=j) for j, xj in enumerate(x[:, cols].T)]
-        for rec, cols in zip(recs, columns)
-    ]
+    return [[rec.build(xj.copy(), t, stop_reason, run=j) for j, xj in enumerate(x[r])] for rec, r in zip(recs, rows)]
 
 
 def _pnp_group(prior, sigmas, gamma, trace):
-    """PnP-ISTA columns, one denoiser level per column."""
+    """PnP-ISTA runs, one denoiser level per row."""
     for sigma in sigmas:
         if not sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {sigma}")
-    sigma_row = np.array(sigmas, dtype=float)
+    sigma_col = np.array(sigmas, dtype=float)[:, None]
 
     def penalty(x, z):
-        terms, grad = _induced_terms(prior, sigma_row, gamma, x, z)
-        return np.sum(terms, axis=0), grad
+        terms, grad = _induced_terms(prior, sigma_col, gamma, x, z)
+        return np.sum(terms, axis=1), grad
 
-    return _ColumnGroup(lambda z: posterior_mean(prior, sigma_row, z), penalty, len(sigma_row), trace)
+    return _RunGroup(lambda z: posterior_mean(prior, sigma_col, z), penalty, len(sigma_col), trace)
 
 
 def _lasso_group(lams, gamma, trace):
-    """LASSO-ISTA columns, one weight per column; no gradient is traced."""
+    """LASSO-ISTA runs, one weight per row; no gradient is traced."""
     for lam in lams:
         if not lam > 0.0:
             raise ValueError(f"lam must be positive, got {lam}")
     lam_row = np.array(lams, dtype=float)
-    tau_row = gamma * lam_row
-    return _ColumnGroup(
-        lambda z: soft_threshold(z, tau_row),
-        lambda x, z: (lam_row * np.sum(np.abs(x), axis=0), None),
+    tau_col = gamma * lam_row[:, None]
+    return _RunGroup(
+        lambda z: soft_threshold(z, tau_col),
+        lambda x, z: (lam_row * np.sum(np.abs(x), axis=1), None),
         len(lam_row),
         replace(trace, gradient=False),
     )
@@ -297,7 +291,7 @@ def pnp_ista_grid(
 
     Returns one trace per level, in order.  The levels share each
     iteration's one ``op.normal`` product, and the posterior mean takes one
-    level per column, so each trace equals the single-level run up to
+    level per row, so each trace equals the single-level run up to
     rounding.  Any level that fails fails the call, and ``grad_rtol``
     stops the block once every level has met it.
     """
@@ -341,7 +335,7 @@ def soft_threshold(z, tau):
     """Shrink toward zero by ``tau``: ``sign(z) * max(|z| - tau, 0)``.
 
     ``tau`` may be an array broadcasting against ``z``, such as one
-    threshold per column of a block.
+    threshold per row of a run-major block.
     """
     tau = np.asarray(tau, dtype=float)
     if not np.all(tau >= 0.0):
@@ -363,7 +357,7 @@ def lasso_ista_grid(
     """:func:`lasso_ista` at every weight in ``lams`` as one block.
 
     Returns one trace per weight, in order; the weights share each matrix
-    product and the soft threshold takes one ``gamma*lam`` per column.
+    product and the soft threshold takes one ``gamma*lam`` per row.
     """
     return _ista(problem, gamma, [_lasso_group(lams, gamma, trace)], max_iter, allow_large_step)[0]
 

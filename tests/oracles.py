@@ -112,6 +112,35 @@ def dense_largest_eigenvalue(operator):
     return float(np.max(np.linalg.eigvalsh(gram)))
 
 
+def n_space_power_iteration(operator, tol=1e-10, max_iter=2000, seed=0):
+    """The power iteration on ``H^T H`` stepped in n-space, as ``lipschitz_constant`` once was.
+
+    Each step multiplies the unit vector ``v`` by ``H^T H``: through the
+    Gram matrix when ``2m > n``, else as ``H^T (H v)``.  Returns
+    ``(value, converged, iterations)``.
+    """
+    h = operator.matrix
+    m, n = h.shape
+    gram = h.T @ h
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    estimate = 0.0
+    for it in range(1, max_iter + 1):
+        w = gram @ v if 2 * m > n else (h @ v) @ h
+        new_estimate = float(v @ w)
+        norm_w = np.linalg.norm(w)
+        if norm_w == 0.0:
+            v = rng.standard_normal(n)
+            v /= np.linalg.norm(v)
+            continue
+        v = w / norm_w
+        if it > 1 and abs(new_estimate - estimate) <= tol * abs(new_estimate):
+            return new_estimate, True, it
+        estimate = new_estimate
+    return estimate, False, max_iter
+
+
 def ridge_stationary_point(problem, denoiser, gamma):
     """Exact stationary point of the PnP objective in the pure-Gaussian case.
 

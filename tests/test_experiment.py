@@ -218,8 +218,8 @@ class TestBatchedGridSearch:
         """Run one trial, requiring one block product per iteration and no single-value PnP run.
 
         The product is a forward and an adjoint product, or on the Gram route
-        one product with the operator's Gram matrix, which the trial forms
-        at most once.
+        one product ``X @ gram`` of the run-major block with the operator's
+        Gram matrix, which the trial forms at most once.
         """
         block_products = {"forward": 0, "adjoint": 0, "gram": 0}
         for name in ("forward", "adjoint"):
@@ -232,10 +232,10 @@ class TestBatchedGridSearch:
             monkeypatch.setattr(MeasurementOperator, name, counted)
 
         class CountedGram(np.ndarray):
-            def __matmul__(self, other):
+            def __rmatmul__(self, other):
                 if np.ndim(other) == 2:
                     block_products["gram"] += 1
-                return np.asarray(self) @ other
+                return other @ np.asarray(self)
 
         grams_formed = []
 
@@ -269,7 +269,8 @@ class TestBatchedGridSearch:
             assert block_products == {"forward": 0, "adjoint": 0, "gram": runs}
         else:
             assert block_products == {"forward": runs, "adjoint": runs, "gram": 0}
-        # the step size, the ISTA block and message passing share one Gram matrix
+        # the ISTA block and message passing share one Gram matrix; with m < n
+        # the step size's power iteration steps through H H^T and forms none
         assert len(grams_formed) == int(gram_route or "gamp" in config.solvers)
         assert decomposed == [CountedGram] * ("gamp" in config.solvers)
         assert single_runs == []

@@ -17,7 +17,7 @@ from pnpmmse import (
     snr_db,
 )
 
-from oracles import dense_largest_eigenvalue, grad_central_diff
+from oracles import dense_largest_eigenvalue, grad_central_diff, n_space_power_iteration
 
 
 class TestGenerateOperator:
@@ -175,8 +175,9 @@ class TestNormal:
         op = generate_operator(m, n, np.random.default_rng(m))
         h = op.matrix
         rng = np.random.default_rng(m + 1)
-        for x in (rng.normal(size=n), rng.normal(size=(n, 5))):
-            expected = h.T @ (h @ x)
+        # a vector, and a run-major block of 5 runs, one per row
+        for x in (rng.normal(size=n), rng.normal(size=(5, n))):
+            expected = h.T @ (h @ x) if x.ndim == 1 else np.array([h.T @ (h @ row) for row in x])
             got = op.normal(x)
             assert got.shape == expected.shape
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -213,6 +214,19 @@ class TestLipschitz:
     def test_zero_operator_rejected(self):
         with pytest.raises(ValueError):
             lipschitz_constant(MeasurementOperator(np.zeros((3, 3))))
+
+    @pytest.mark.parametrize(
+        "m,n,max_iter",
+        # 2m < n, m = n - 1, m = n and m > n, then two runs capped by max_iter
+        [(30, 100, 2000), (99, 100, 2000), (100, 100, 2000), (130, 100, 2000), (30, 100, 7), (130, 100, 7)],
+    )
+    def test_matches_the_n_space_iteration(self, m, n, max_iter):
+        op = generate_operator(m, n, np.random.default_rng(1000 + m))
+        value, converged, iterations = n_space_power_iteration(op, max_iter=max_iter)
+        estimate = lipschitz_constant(op, max_iter=max_iter)
+        assert (estimate.converged, estimate.iterations) == (converged, iterations)
+        assert converged == (max_iter == 2000)
+        assert abs(estimate.value - value) <= 1e-13 * value
 
 
 class TestSnrDb:
