@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .denoiser import InducedRegularizer, MmseDenoiser
+from .denoiser import InducedRegularizer, MmseDenoiser, _induced_terms
 from .errors import ConfigurationError, NumericalFailureError
 from .linear_model import (
     MeasurementOperator,
@@ -33,7 +33,7 @@ from .linear_model import (
     grad_data_fidelity,
     snr_db,
 )
-from .prior import BernoulliGaussianPrior, marginal_density, neg_log_marginal, sample_signal
+from .prior import BernoulliGaussianPrior, marginal_density, sample_signal
 from .solvers import (
     TraceOptions,
     _ista,
@@ -182,9 +182,6 @@ class ExperimentConfig:
             return cls(**values)
         except TypeError as exc:
             raise ConfigurationError(f"invalid config value: {exc}") from exc
-
-    def replace(self, **changes) -> "ExperimentConfig":
-        return dataclasses.replace(self, **changes)
 
 
 def trial_rng(seed: int, rate_index: int, trial: int, role: int) -> np.random.Generator:
@@ -528,28 +525,19 @@ def _small_problem(config: ExperimentConfig, n=64, m=48, alpha=0.2):
     return prior, problem
 
 
-def run_validation_suite(
-    config: ExperimentConfig, tolerances: dict[str, float] | None = None
-) -> ValidationReport:
+def run_validation_suite(config: ExperimentConfig) -> ValidationReport:
     """Run every analytic invariant at small scale with fixed seeds.
 
-    ``tolerances`` overrides entries of :data:`DEFAULT_VALIDATION_TOLERANCES`;
-    unknown names are rejected.  Failures are results, not exceptions: each
-    check lands in the report as PASS, FAIL, or SKIP.
+    Each check's tolerance is its entry in :data:`DEFAULT_VALIDATION_TOLERANCES`.
+    Failures are results, not exceptions: each check lands in the report as
+    PASS, FAIL, or SKIP.
     """
     config.validate()
-    tols = dict(DEFAULT_VALIDATION_TOLERANCES)
-    if tolerances:
-        unknown = set(tolerances) - set(tols)
-        if unknown:
-            raise ConfigurationError(f"unknown validation checks: {sorted(unknown)}")
-        tols.update(tolerances)
-
     checks: list[CheckResult] = []
 
     def run_check(name, fn):
         try:
-            status, detail = fn(tols[name])
+            status, detail = fn(DEFAULT_VALIDATION_TOLERANCES[name])
         except Exception as exc:  # noqa: BLE001 - failures are results here
             status, detail = "FAIL", f"raised {exc!r}"
         checks.append(CheckResult(name, status, detail))
@@ -594,10 +582,7 @@ def run_validation_suite(
             denoiser = MmseDenoiser(prior, sigma)
             center = denoiser.denoise(z)
             grid = center + np.arange(-200, 201) * tol
-            u = denoiser.invert(grid)
-            h = -0.5 / gamma * (grid - u) ** 2 + sigma**2 / gamma * neg_log_marginal(
-                prior, sigma, u
-            )
+            h, _ = _induced_terms(prior, sigma, gamma, grid, denoiser.invert(grid))
             values = 0.5 * (grid - z) ** 2 + gamma * h
             best = grid[int(np.argmin(values))]
             worst = max(worst, abs(best - center))
@@ -641,7 +626,6 @@ def run_validation_suite(
 
     def check_jacobian(tol):
         min_slope = np.inf
-        max_slope = 0.0
         for alpha, sigma_x, sigma in _VALIDATION_PRIORS:
             prior = BernoulliGaussianPrior(alpha, sigma_x)
             denoiser = MmseDenoiser(prior, sigma)
@@ -707,7 +691,7 @@ def run_validation_suite(
 
     def check_mm_sandwich(tol):
         prior, problem = _small_problem(config)
-        gamma, _ = _resolve_gamma(config.replace(gamma_policy="auto"), problem.operator)
+        gamma, _ = _resolve_gamma(dataclasses.replace(config, gamma_policy="auto"), problem.operator)
         denoiser = MmseDenoiser(prior, 0.3)
         reg = InducedRegularizer(denoiser, gamma)
         x = np.zeros(problem.n)
@@ -756,7 +740,7 @@ def run_validation_suite(
     def check_lipschitz(tol):
         rng_l = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(103,)))
         worst = 0.0
-        # the last shape has 2m <= n, so both routes of MeasurementOperator.normal are checked
+        # the shapes cover m < n, m > n and m = n of the power iteration's one loop
         for m, n in [(20, 30), (30, 20), (25, 25), (10, 30)]:
             operator = generate_operator(m, n, rng_l)
             estimate = operator.lipschitz.value

@@ -68,10 +68,10 @@ class MeasurementOperator:
     def normal(self, x: np.ndarray) -> np.ndarray:
         """``H^T H x`` for a vector, or ``X H^T H`` for a ``K x n`` block, one run per row.
 
-        One product with :attr:`gram` costs ``n^2`` multiply-adds per run
-        and a forward plus an adjoint product ``2mn``, so the kept Gram
-        matrix is used exactly when ``2m > n``; otherwise this product does
-        not form it.
+        This is the ISTA loop's fidelity-gradient product.  One product with
+        :attr:`gram` costs ``n^2`` multiply-adds per run and a forward plus
+        an adjoint product ``2mn``, so the kept Gram matrix is used exactly
+        when ``2m > n``; otherwise this product does not form it.
         """
         if 2 * self.m > self.n:
             return x @ self.gram
@@ -198,10 +198,7 @@ class LipschitzEstimate(NamedTuple):
 
 
 def lipschitz_constant(
-    operator: MeasurementOperator,
-    tol: float = 1e-10,
-    max_iter: int = 2000,
-    seed: int = 0,
+    operator: MeasurementOperator, tol: float = 1e-10, max_iter: int = 2000
 ) -> LipschitzEstimate:
     """Largest eigenvalue of ``H^T H`` by power iteration.
 
@@ -210,28 +207,25 @@ def lipschitz_constant(
     from below.  The start vector is drawn from a fixed seed, keeping the
     estimate deterministic for a given matrix.  If the relative change has
     not dropped below ``tol`` within ``max_iter`` iterations the last
-    estimate is returned with ``converged=False``.  When ``m < n`` it steps
-    ``u = H v`` through ``S = H H^T``, formed here and not kept (estimate
-    ``|u|^2``, norm ``|H^T H v| = sqrt(u^T S u)``, ``u <- S u / norm``);
-    otherwise each step is one ``op.normal`` product.
+    estimate is returned with ``converged=False``.  It steps ``u = H v``
+    through ``S = H H^T``, formed here and not kept: the estimate is
+    ``|u|^2``, the norm ``|H^T H v| = sqrt(u^T S u)``, and ``u <- S u /
+    norm``.  That is the sequence of estimates of the power iteration on
+    ``H^T H`` in n-space, at one m x m product per step.
     """
     h = operator.matrix
     if not np.any(h):
         raise ValueError("operator must be nonzero")
-    s = h @ h.T if operator.m < operator.n else None
-    rng = np.random.default_rng(seed)
+    s = h @ h.T
+    rng = np.random.default_rng(0)
     u, estimate = None, 0.0
     for it in range(1, max_iter + 1):
         if u is None:
             v = rng.standard_normal(operator.n)
             v /= np.linalg.norm(v)
-            u = v if s is None else h @ v
-        if s is None:
-            w = operator.normal(u)
-            new_estimate, norm_w = float(u @ w), np.linalg.norm(w)
-        else:
-            w = s @ u
-            new_estimate, norm_w = float(u @ u), np.sqrt(max(u @ w, 0.0))
+            u = h @ v
+        w = s @ u
+        new_estimate, norm_w = float(u @ u), np.sqrt(max(u @ w, 0.0))
         if norm_w == 0.0:
             # v landed exactly in the null space; restart deterministically.
             u = None

@@ -80,10 +80,9 @@ class SolverTrace:
     minimize an explicit objective (message passing) or do not track the
     quantity.  ``iterations`` holds the iteration numbers the records
     correspond to, always starting at 0.  ``stop_reason`` says why the run
-    ended at ``iterations_run``: ``"max_iter"`` (the budget ran out),
-    ``"grad_rtol"`` (ISTA's opt-in gradient tolerance was met),
-    ``"fixed_point"`` (message passing stopped changing) or ``"diverged"``
-    (message passing's SNR rule fired, which ``diverged`` also says).
+    ended at ``iterations_run``: ``"max_iter"`` (the budget ran out; ISTA
+    always stops so), ``"fixed_point"`` (message passing stopped changing)
+    or ``"diverged"`` (message passing's SNR rule fired).
     """
 
     iterations: np.ndarray
@@ -92,8 +91,12 @@ class SolverTrace:
     objective: np.ndarray | None = None
     grad_norm: np.ndarray | None = None
     snr_db: np.ndarray | None = None
-    diverged: bool = False
     stop_reason: str = "max_iter"
+
+    @property
+    def diverged(self) -> bool:
+        """Whether message passing's SNR rule stopped the run."""
+        return self.stop_reason == "diverged"
 
 
 @dataclass
@@ -126,7 +129,6 @@ class _Recorder:
             objective=series(self.objective, opts.objective),
             grad_norm=series(self.grad_norm, opts.gradient),
             snr_db=series(self.snr, opts.snr),
-            diverged=stop_reason == "diverged",
             stop_reason=stop_reason,
         )
 
@@ -140,9 +142,9 @@ def exceeds_step_bound(gamma: float, operator: MeasurementOperator) -> bool:
     return gamma * operator.lipschitz.value > 1.0 + 1e-12
 
 
-def _require_finite(x: np.ndarray, t: int) -> None:
+def _require_finite(x: np.ndarray, t: int, what: str = "iterate") -> None:
     if not np.all(np.isfinite(x)):
-        raise NumericalFailureError(f"non-finite iterate at iteration {t}", iteration=t)
+        raise NumericalFailureError(f"non-finite {what} at iteration {t}", iteration=t)
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,7 @@ class _RunGroup:
     trace: TraceOptions
 
 
-def _ista(problem, gamma, groups, max_iter, allow_large_step, grad_rtol=None):
+def _ista(problem, gamma, groups, max_iter, allow_large_step):
     """The ISTA loop over one ``K x n`` block of iterates, one run per row.
 
     The block is the run groups stacked.  Each run steps ``x <- prox(x -
@@ -171,10 +173,11 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step, grad_rtol=None):
     step: each run's fidelity ``0.5 * |y - H x|^2`` is read from it as
     ``0.5 * (x^T g - (H^T y)^T x + |y|^2)``.  Each group records what its
     own ``TraceOptions`` asks for; its penalty runs only when the objective
-    or the gradient is traced.  A run that turns non-finite or breaks
-    descent fails the whole block, and ``grad_rtol`` stops it only once
-    every run traces its gradient and has met the tolerance.  Returns
-    one list of traces per group, in order.
+    or the gradient is traced.  A run that turns non-finite, records a
+    non-finite objective or gradient norm, or breaks descent fails the
+    whole block with a :class:`NumericalFailureError` naming the iteration;
+    otherwise the block runs all ``max_iter`` iterations.  Returns one list
+    of traces per group, in order.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -209,6 +212,7 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step, grad_rtol=None):
             rec.iterations.append(t)
             if opts.objective:
                 f = 0.5 * (np.einsum("ij,ij->i", xr, gr) - xr @ hty + y_energy) + h_val
+                _require_finite(f, t, "objective")
                 if rec.objective and not allow_large_step:
                     f_prev = rec.objective[-1]
                     f_scale = np.maximum(np.abs(rec.objective[0]), 1e-300)
@@ -221,30 +225,30 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step, grad_rtol=None):
                         )
                 rec.objective.append(f)
             if opts.gradient:
-                rec.grad_norm.append(np.linalg.norm(gr + h_grad, axis=1))
+                grad_norm = np.linalg.norm(gr + h_grad, axis=1)
+                _require_finite(grad_norm, t, "gradient norm")
+                rec.grad_norm.append(grad_norm)
             if opts.snr:
                 rec.snr.append(snr_db(xr.T, problem.x_true))
 
     g = gradient(x)
     # both proxes are odd, so the zero start is its own pre-image
     record(0, x, x, g)
-    stop_reason = "max_iter"
     for t in range(1, max_iter + 1):
-        # z = x - gamma * g, formed in g's buffer: g is not read again
-        z = np.add(x, np.multiply(g, -gamma, out=g), out=g)
-        _require_finite(z, t)
-        for group, r in zip(groups, rows):
-            x[r] = group.prox(z[r])
-        _require_finite(x, t)
-        g = gradient(x)
-        record(t, x, z, g)
-        # grad_norm[1] is each run's gradient norm at the first record after the start
-        if grad_rtol is not None and all(
-            len(rec.grad_norm) > 1 and np.all(rec.grad_norm[-1] <= grad_rtol * rec.grad_norm[1]) for rec in recs
-        ):
-            stop_reason = "grad_rtol"
-            break
-    return [[rec.build(xj.copy(), t, stop_reason, run=j) for j, xj in enumerate(x[r])] for rec, r in zip(recs, rows)]
+        # A step too large for the problem overflows in here, and each value
+        # it makes non-finite is rejected before anything keeps it: the
+        # iterate by this step's checks, the gradient by the next step's,
+        # and the traced objective and gradient norm by ``record``.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # z = x - gamma * g, formed in g's buffer: g is not read again
+            z = np.add(x, np.multiply(g, -gamma, out=g), out=g)
+            _require_finite(z, t)
+            for group, r in zip(groups, rows):
+                x[r] = group.prox(z[r])
+            _require_finite(x, t)
+            g = gradient(x)
+            record(t, x, z, g)
+    return [[rec.build(xj.copy(), max_iter, run=j) for j, xj in enumerate(x[r])] for rec, r in zip(recs, rows)]
 
 
 def _pnp_group(prior, sigmas, gamma, trace):
@@ -267,7 +271,9 @@ def _lasso_group(lams, gamma, trace):
         if not lam > 0.0:
             raise ValueError(f"lam must be positive, got {lam}")
     lam_row = np.array(lams, dtype=float)
-    tau_col = gamma * lam_row[:, None]
+    # an overflowing gamma * lam is an infinite threshold, whose prox (zero) is still exact
+    with np.errstate(over="ignore"):
+        tau_col = gamma * lam_row[:, None]
     return _RunGroup(
         lambda z: soft_threshold(z, tau_col),
         lambda x, z: (lam_row * np.sum(np.abs(x), axis=1), None),
@@ -285,17 +291,15 @@ def pnp_ista_grid(
     trace: TraceOptions = TraceOptions(),
     *,
     allow_large_step: bool = False,
-    grad_rtol: float | None = None,
 ) -> list[SolverTrace]:
     """:func:`pnp_ista` at every denoiser level in ``sigmas`` as one block.
 
     Returns one trace per level, in order.  The levels share each
     iteration's one ``op.normal`` product, and the posterior mean takes one
     level per row, so each trace equals the single-level run up to
-    rounding.  Any level that fails fails the call, and ``grad_rtol``
-    stops the block once every level has met it.
+    rounding.  Any level that fails fails the call.
     """
-    return _ista(problem, gamma, [_pnp_group(prior, sigmas, gamma, trace)], max_iter, allow_large_step, grad_rtol)[0]
+    return _ista(problem, gamma, [_pnp_group(prior, sigmas, gamma, trace)], max_iter, allow_large_step)[0]
 
 
 def pnp_ista(
@@ -306,19 +310,15 @@ def pnp_ista(
     trace: TraceOptions = TraceOptions(),
     *,
     allow_large_step: bool = False,
-    grad_rtol: float | None = None,
 ) -> SolverTrace:
-    """Gradient step on the fidelity followed by the MMSE denoiser.
+    """Gradient step on the fidelity followed by the MMSE denoiser, ``max_iter`` times.
 
     With a step size no larger than the reciprocal Lipschitz constant,
     read from the operator's kept estimate ``problem.operator.lipschitz``, the
     traced objective (fidelity plus induced regularizer at this ``gamma``)
     is checked to be nonincreasing at every record and the run aborts with
     a numerical failure if it is not; ``allow_large_step=True`` skips both
-    the step-size check and that assertion.  ``grad_rtol`` enables an
-    opt-in early stop once the traced gradient norm falls below
-    ``grad_rtol`` times its value at the first record after the start,
-    which is iteration ``min(trace.interval, max_iter)``.  A fully traced
+    the step-size check and that assertion.  A fully traced
     run costs one ``op.normal`` product per iteration, plus one
     ``neg_log_marginal`` evaluation per component at each record: the
     fidelity and its gradient come from the product the next step needs
@@ -326,8 +326,7 @@ def pnp_ista(
     which is the denoised iterate's pre-image, so no inversion runs.
     """
     return pnp_ista_grid(
-        problem, denoiser.prior, (denoiser.sigma,), gamma, max_iter, trace,
-        allow_large_step=allow_large_step, grad_rtol=grad_rtol,
+        problem, denoiser.prior, (denoiser.sigma,), gamma, max_iter, trace, allow_large_step=allow_large_step
     )[0]
 
 

@@ -1,5 +1,6 @@
 """Experiment driver: config handling, determinism, CSV schemas, validation."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -24,6 +25,7 @@ from pnpmmse import (
 )
 from pnpmmse.cli import main
 from pnpmmse.experiment import (
+    DEFAULT_VALIDATION_TOLERANCES,
     ROLE_MATRIX,
     ROLE_NOISE,
     ROLE_SIGNAL,
@@ -89,11 +91,6 @@ class TestConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_dict({"n": 64, "mystery": 1})
-
-    def test_replace_produces_new_config(self):
-        base = ExperimentConfig()
-        other = base.replace(n=128)
-        assert other.n == 128 and base.n == 1024
 
 
 class TestSubseeds:
@@ -303,11 +300,11 @@ class TestBatchedGridSearch:
         assert trace.objective[0] == pytest.approx(start, rel=1e-12)
         assert np.all(np.diff(trace.objective) <= 1e-9 * abs(trace.objective[0]))
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid", "ignore:divide by zero")
     def test_diverging_block_fails_the_trial(self):
         config = tiny_config(measurement_rates=(0.8,), gamma_policy=1e20)
         outcome = experiment._run_trial(config, 0, 0, pnp_objective=False)
-        assert re.fullmatch(r"non-finite iterate at iteration \d+", outcome.error)
+        # the LASSO runs trace their objective at every iteration, and it overflows before the iterate
+        assert re.fullmatch(r"non-finite objective at iteration \d+", outcome.error)
         assert not outcome.selections
 
 
@@ -380,7 +377,7 @@ class TestConvergenceExperiment:
     def test_worker_pool_matches_serial(self, tmp_path):
         config = tiny_config(measurement_rates=(0.8,), solvers=("pnp",), trials=3)
         run_convergence_experiment(config, tmp_path / "serial")
-        run_convergence_experiment(config.replace(workers=3), tmp_path / "pool")
+        run_convergence_experiment(dataclasses.replace(config, workers=3), tmp_path / "pool")
         for name in ("convergence_cost.csv", "selections.csv"):
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
 
@@ -412,15 +409,12 @@ class TestValidationSuite:
         assert report.passed
         assert all(c.status == "PASS" for c in report.checks)
 
-    def test_corrupted_tolerance_fails_loudly(self):
-        report = run_validation_suite(tiny_config(), {"tweedie_identity": 1e-30})
+    def test_corrupted_tolerance_fails_loudly(self, monkeypatch):
+        monkeypatch.setitem(DEFAULT_VALIDATION_TOLERANCES, "tweedie_identity", 1e-30)
+        report = run_validation_suite(tiny_config())
         statuses = {c.name: c.status for c in report.checks}
         assert statuses["tweedie_identity"] == "FAIL"
         assert not report.passed
-
-    def test_unknown_tolerance_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_validation_suite(tiny_config(), {"not_a_check": 1.0})
 
     def test_gamma_override_skips_monotonicity(self):
         report = run_validation_suite(tiny_config(gamma_policy=5.0))
@@ -471,6 +465,14 @@ class TestCli:
         assert code == exit_code
         failed = "trial (rate_index=0, trial=0) failed: injected failure" in caplog.text
         assert failed == (error is ValueError)
+
+    @pytest.mark.parametrize("gamma", ["5", "1e308"])
+    def test_diverging_step_exits_three_without_warnings(self, tmp_path, caplog, gamma):
+        # the suite turns a RuntimeWarning into an error, so a warning fails this test
+        argv = ["sweep", "--n", "64", "--trials", "1", "--rates", "0.5,0.6", "--gamma", gamma]
+        assert main([*argv, "--out", str(tmp_path)]) == 3
+        failures = re.findall(r"failed: non-finite \w+ at iteration \d+", caplog.text)
+        assert len(failures) == 2
 
     @pytest.mark.parametrize(
         "values, flags",

@@ -187,21 +187,6 @@ class TestPnpIsta:
         np.testing.assert_array_equal(dense.iterations, np.arange(8))
         assert len(dense.objective) == len(dense.grad_norm) == len(dense.snr_db) == 8
 
-    def test_gradient_early_stop(self):
-        rng = np.random.default_rng(8)
-        prior, problem = make_problem(rng, n=24, m=32, alpha=1.0)
-        lip = problem.operator.lipschitz.value
-        trace = pnp_ista(
-            problem,
-            MmseDenoiser(prior, 0.5),
-            0.99 / lip,
-            max_iter=5000,
-            grad_rtol=1e-6,
-        )
-        assert trace.iterations_run < 5000
-        assert trace.stop_reason == "grad_rtol"
-        assert trace.grad_norm[-1] <= 1e-6 * trace.grad_norm[1]
-
 
 @pytest.mark.parametrize("m", [31, 33, 128])
 def test_traced_objectives_match_oracles_on_both_normal_routes(m):
