@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .denoiser import InducedRegularizer, MmseDenoiser, _induced_terms
+from .denoiser import InducedRegularizer, MmseDenoiser, _induced_terms, _usable_level
 from .errors import ConfigurationError, NumericalFailureError
 from .linear_model import (
     MeasurementOperator,
@@ -162,6 +162,8 @@ class ExperimentConfig:
             raise ConfigurationError("lambda_grid must be nonempty when lasso is enabled")
         if not all(0.0 < v < math.inf for v in self.sigma_grid + self.lambda_grid):
             raise ConfigurationError("grid values must be positive and finite")
+        if not all(_usable_level(s) for s in self.sigma_grid):
+            raise ConfigurationError("sigma_grid entries must square to a normal float (about 1.5e-154 to 1.3e154)")
         if not math.isfinite(self.input_snr_db):
             raise ConfigurationError("input_snr_db must be finite")
         if not 0.0 < self.gamp_damping <= 1.0:

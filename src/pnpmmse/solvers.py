@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .denoiser import InducedRegularizer, MmseDenoiser, _induced_terms, posterior_mean, posterior_moments
+from .denoiser import InducedRegularizer, MmseDenoiser, _Levels, _usable_level, posterior_moments
 from .errors import NumericalFailureError
 from .linear_model import (
     MeasurementOperator,
@@ -57,9 +57,10 @@ class TraceOptions:
     """What to record along a run and how often.
 
     Objective and gradient tracing evaluate the regularizer at every
-    record; for PnP-ISTA that is one ``neg_log_marginal`` evaluation per
-    component and no inversion.  Sweeps that only need SNR can switch them
-    off.
+    record; for PnP-ISTA that is a few elementwise passes over the block,
+    reading the log density's one transcendental term from what the
+    denoising step left behind: no inversion and no second log-density
+    evaluation.  Sweeps that only need SNR can switch them off.
     """
 
     objective: bool = True
@@ -106,6 +107,8 @@ class _Recorder:
     objective: list = field(default_factory=list)
     grad_norm: list = field(default_factory=list)
     snr: list = field(default_factory=list)
+    # the descent check's per-run slack, fixed by the first objective record
+    slack: np.ndarray | None = None
 
     def due(self, t: int, max_iter: int) -> bool:
         return t % self.options.interval == 0 or t == max_iter
@@ -151,13 +154,16 @@ def _require_finite(x: np.ndarray, t: int, what: str = "iterate") -> None:
 class _RunGroup:
     """Adjacent rows of an ISTA block that share a prox, a penalty and a trace.
 
-    ``prox`` maps the group's ``width x n`` slice of pre-denoise iterates,
-    so each run may carry its own parameter; ``penalty(X, Z)`` returns
-    the per-run regularizer values and gradients at ``X = prox(Z)``.
+    ``bind(n)`` returns the group's ``(prox, penalty)`` for iterates of
+    length ``n``, which may share a buffer of the group's shape.
+    ``prox(Z, X)`` writes the prox of the group's ``width x n`` slice ``Z``
+    of pre-denoise iterates into ``X``, so each run may carry its own
+    parameter.  ``penalty(X, Z, gradient)`` returns the per-run regularizer
+    values at ``X = prox(Z)``, with ``Z`` the last slice the prox took, and
+    their gradients if ``gradient`` is set, else ``None``.
     """
 
-    prox: Callable[[np.ndarray], np.ndarray]
-    penalty: Callable[[np.ndarray, np.ndarray], tuple]
+    bind: Callable[[int], tuple[Callable, Callable]]
     width: int
     trace: TraceOptions
 
@@ -171,13 +177,16 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
     for every group at once from one ``op.normal`` product per iteration.  It
     serves both the record (fidelity, gradient ``G + grad h``) and the next
     step: each run's fidelity ``0.5 * |y - H x|^2`` is read from it as
-    ``0.5 * (x^T g - (H^T y)^T x + |y|^2)``.  Each group records what its
-    own ``TraceOptions`` asks for; its penalty runs only when the objective
-    or the gradient is traced.  A run that turns non-finite, records a
-    non-finite objective or gradient norm, or breaks descent fails the
-    whole block with a :class:`NumericalFailureError` naming the iteration;
-    otherwise the block runs all ``max_iter`` iterations.  Returns one list
-    of traces per group, in order.
+    ``0.5 * (x^T g - (H^T y)^T x + |y|^2)``, once for the whole block at a
+    record where any group traces its objective.  Each group records what
+    its own ``TraceOptions`` asks for; its penalty runs only when the
+    objective or the gradient is traced, and forms the gradient only when
+    that is.  Measurements whose ``|y|^2`` or ``H^T y`` overflow, and a run
+    that turns non-finite or records a non-finite objective, gradient norm
+    or SNR, or breaks descent, fail the whole block with a
+    :class:`NumericalFailureError` naming the iteration; otherwise the
+    block runs all ``max_iter`` iterations.  Returns one list of traces per
+    group, in order.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -190,33 +199,34 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
         )
 
     operator, y = problem.operator, problem.y
-    hty, y_energy = operator.adjoint(y), float(y @ y)
+    edges = np.cumsum([0] + [group.width for group in groups])
+    rows = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    recs = [_Recorder(group.trace) for group in groups]
+    proxes, penalties = zip(*(group.bind(problem.n) for group in groups))
+    x = np.zeros((edges[-1], problem.n))
 
     def gradient(x):
         g = operator.normal(x)
         g -= hty
         return g
 
-    edges = np.cumsum([0] + [group.width for group in groups])
-    rows = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    recs = [_Recorder(group.trace) for group in groups]
-    x = np.zeros((edges[-1], problem.n))
-
-    def record(t, x, z, g):
-        for rec, group, r in zip(recs, groups, rows):
-            if not rec.due(t, max_iter):
-                continue
-            opts, xr, gr = rec.options, x[r], g[r]
+    def record(t, z, g):
+        due = [(rec, penalty, r) for rec, penalty, r in zip(recs, penalties, rows) if rec.due(t, max_iter)]
+        if any(rec.options.objective for rec, _, _ in due):
+            fidelity = 0.5 * (np.einsum("ij,ij->i", x, g) - x @ hty + y_energy)
+        for rec, penalty, r in due:
+            opts, xr = rec.options, x[r]
             if opts.objective or opts.gradient:
-                h_val, h_grad = group.penalty(xr, z[r])
+                h_val, h_grad = penalty(xr, z[r], opts.gradient)
             rec.iterations.append(t)
             if opts.objective:
-                f = 0.5 * (np.einsum("ij,ij->i", xr, gr) - xr @ hty + y_energy) + h_val
+                f = fidelity[r] + h_val
                 _require_finite(f, t, "objective")
-                if rec.objective and not allow_large_step:
+                if rec.slack is None:
+                    rec.slack = MONOTONE_RTOL * np.maximum(np.abs(f), 1e-300)
+                elif not allow_large_step:
                     f_prev = rec.objective[-1]
-                    f_scale = np.maximum(np.abs(rec.objective[0]), 1e-300)
-                    rises = np.flatnonzero(f > f_prev + MONOTONE_RTOL * f_scale)
+                    rises = np.flatnonzero(f > f_prev + rec.slack)
                     if rises.size:
                         j = rises[0]
                         raise NumericalFailureError(
@@ -225,44 +235,68 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
                         )
                 rec.objective.append(f)
             if opts.gradient:
-                grad_norm = np.linalg.norm(gr + h_grad, axis=1)
+                grad_norm = np.linalg.norm(g[r] + h_grad, axis=1)
                 _require_finite(grad_norm, t, "gradient norm")
                 rec.grad_norm.append(grad_norm)
             if opts.snr:
-                rec.snr.append(snr_db(xr.T, problem.x_true))
+                snr = snr_db(xr.T, problem.x_true)
+                _require_finite(snr, t, "SNR")
+                rec.snr.append(snr)
 
-    g = gradient(x)
-    # both proxes are odd, so the zero start is its own pre-image
-    record(0, x, x, g)
-    for t in range(1, max_iter + 1):
-        # A step too large for the problem overflows in here, and each value
-        # it makes non-finite is rejected before anything keeps it: the
-        # iterate by this step's checks, the gradient by the next step's,
-        # and the traced objective and gradient norm by ``record``.
-        with np.errstate(over="ignore", invalid="ignore"):
-            # z = x - gamma * g, formed in g's buffer: g is not read again
+    # A step too large for the problem, or measurements too large for their
+    # energy, overflow in here, and each value they make non-finite is
+    # rejected before anything keeps it: the measurement terms at once, the
+    # iterate by its step's checks, the gradient by the next step's, and the
+    # traced objective, gradient norm and SNR by ``record``.
+    with np.errstate(over="ignore", invalid="ignore"):
+        hty, y_energy = operator.adjoint(y), float(y @ y)
+        if not (np.isfinite(y_energy) and np.all(np.isfinite(hty))):
+            raise NumericalFailureError("non-finite measurement terms at iteration 0", iteration=0)
+        g = gradient(x)
+        # both proxes are odd, so the zero start is its own pre-image; the
+        # prox there also leaves what each penalty reads at the first record
+        z = np.zeros_like(x)
+        for prox, r in zip(proxes, rows):
+            prox(z[r], x[r])
+        record(0, z, g)
+        for t in range(1, max_iter + 1):
+            # z = x - gamma * g, formed in g's buffer: g is not read again.
+            # Both proxes map a non-finite input to a non-finite output, so
+            # the iterate's check also catches a non-finite z.
             z = np.add(x, np.multiply(g, -gamma, out=g), out=g)
-            _require_finite(z, t)
-            for group, r in zip(groups, rows):
-                x[r] = group.prox(z[r])
+            for prox, r in zip(proxes, rows):
+                prox(z[r], x[r])
             _require_finite(x, t)
             g = gradient(x)
-            record(t, x, z, g)
+            record(t, z, g)
     return [[rec.build(xj.copy(), max_iter, run=j) for j, xj in enumerate(x[r])] for rec, r in zip(recs, rows)]
 
 
 def _pnp_group(prior, sigmas, gamma, trace):
-    """PnP-ISTA runs, one denoiser level per row."""
+    """PnP-ISTA runs, one denoiser level per row.
+
+    The prox is the posterior mean, which leaves ``1 + e**gap`` in a
+    buffer of the group's shape; the penalty reads the log density from
+    there.
+    """
     for sigma in sigmas:
-        if not sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
-    sigma_col = np.array(sigmas, dtype=float)[:, None]
+        if not _usable_level(sigma):
+            raise ValueError(f"sigma must be positive with a normal-float square, got {sigma}")
+    levels = _Levels(prior, np.array(sigmas, dtype=float)[:, None])
 
-    def penalty(x, z):
-        terms, grad = _induced_terms(prior, sigma_col, gamma, x, z)
-        return np.sum(terms, axis=1), grad
+    def bind(n):
+        spread = np.empty((len(sigmas), n))
 
-    return _RunGroup(lambda z: posterior_mean(prior, sigma_col, z), penalty, len(sigma_col), trace)
+        def prox(z, out):
+            levels.mean_into(z, out, spread)
+
+        def penalty(x, z, gradient):
+            value = np.sum(levels.regularizer_terms(gamma, x, z, spread), axis=1)
+            return value, ((z - x) / gamma if gradient else None)
+
+        return prox, penalty
+
+    return _RunGroup(bind, len(sigmas), trace)
 
 
 def _lasso_group(lams, gamma, trace):
@@ -274,12 +308,21 @@ def _lasso_group(lams, gamma, trace):
     # an overflowing gamma * lam is an infinite threshold, whose prox (zero) is still exact
     with np.errstate(over="ignore"):
         tau_col = gamma * lam_row[:, None]
-    return _RunGroup(
-        lambda z: soft_threshold(z, tau_col),
-        lambda x, z: (lam_row * np.sum(np.abs(x), axis=1), None),
-        len(lam_row),
-        replace(trace, gradient=False),
-    )
+
+    def bind(n):
+        def prox(z, out):
+            # z - clip(z, -tau, tau) is soft_threshold(z, tau); the clip is sign(z) * min(|z|, tau)
+            np.abs(z, out=out)
+            np.minimum(out, tau_col, out=out)
+            np.copysign(out, z, out=out)
+            return np.subtract(z, out, out=out)
+
+        def penalty(x, z, gradient):
+            return lam_row * np.sum(np.abs(x), axis=1), None
+
+        return prox, penalty
+
+    return _RunGroup(bind, len(lam_row), replace(trace, gradient=False))
 
 
 def pnp_ista_grid(
@@ -319,11 +362,12 @@ def pnp_ista(
     is checked to be nonincreasing at every record and the run aborts with
     a numerical failure if it is not; ``allow_large_step=True`` skips both
     the step-size check and that assertion.  A fully traced
-    run costs one ``op.normal`` product per iteration, plus one
-    ``neg_log_marginal`` evaluation per component at each record: the
-    fidelity and its gradient come from the product the next step needs
-    anyway, and the regularizer is evaluated at the pre-denoise iterate,
-    which is the denoised iterate's pre-image, so no inversion runs.
+    run costs one ``op.normal`` product per iteration, plus a few
+    elementwise passes at each record: the fidelity and its gradient come
+    from the product the next step needs anyway, and the regularizer is
+    evaluated at the pre-denoise iterate, which is the denoised iterate's
+    pre-image, from the ``1 + e**gap`` block the denoising step left
+    behind, so no inversion and no second log-density evaluation runs.
     """
     return pnp_ista_grid(
         problem, denoiser.prior, (denoiser.sigma,), gamma, max_iter, trace, allow_large_step=allow_large_step

@@ -82,6 +82,9 @@ class TestConfig:
             dict(lambda_grid=(math.nan,)),
             dict(input_snr_db=math.nan),
             dict(gamma_policy=math.inf),
+            # levels whose square is not a normal float
+            dict(sigma_grid=(0.1, 1e-300)),
+            dict(sigma_grid=(1e155,)),
         ],
     )
     def test_invalid_configs_rejected(self, changes):
@@ -473,6 +476,21 @@ class TestCli:
         assert main([*argv, "--out", str(tmp_path)]) == 3
         failures = re.findall(r"failed: non-finite \w+ at iteration \d+", caplog.text)
         assert len(failures) == 2
+
+    def test_diverged_sweep_cell_is_a_numerical_failure(self, tmp_path, caplog):
+        # every denoiser level's iterate grows to about 1e242 but stays finite, and a
+        # sweep's PnP runs trace no objective: the SNR record at the last iteration is -inf
+        argv = ["sweep", "--n", "64", "--trials", "1", "--rates", "0.5,0.6", "--gamma", "0.7", "--solvers", "pnp,gamp"]
+        assert main([*argv, "--out", str(tmp_path)]) == 3
+        assert len(re.findall(r"failed: non-finite SNR at iteration 500", caplog.text)) == 2
+        assert not (tmp_path / "rate_sweep.csv").exists()
+
+    def test_level_without_a_normal_square_is_a_configuration_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n": 16, "trials": 1, "max_iter": 5, "sigma_grid": [1e-300]}')
+        argv = ["sweep", "--config", str(cfg), "--rates", "0.5,0.8", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "sigma_grid entries must square to a normal float" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "values, flags",

@@ -1,11 +1,13 @@
 """Solver behavior: descent, fixed points, oracles, and failure modes."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pnpmmse import (
     BernoulliGaussianPrior,
@@ -21,10 +23,17 @@ from pnpmmse import (
     grad_data_fidelity,
     lasso_ista,
     mm_surrogate,
+    neg_log_marginal,
     pnp_ista,
+    posterior_mean,
+    posterior_moments,
     sample_signal,
     soft_threshold,
 )
+from pnpmmse import denoiser as denoiser_module
+from pnpmmse import prior as prior_module
+from pnpmmse import solvers
+from pnpmmse.denoiser import _induced_terms
 
 from pnpmmse.experiment import ExperimentConfig
 from pnpmmse.experiment import make_problem as make_trial_problem
@@ -155,7 +164,6 @@ class TestPnpIsta:
         )
         assert trace.iterations_run == 5
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_iterate_reports_iteration(self):
         rng = np.random.default_rng(6)
         prior, problem = make_problem(rng, n=16, m=16)
@@ -170,6 +178,30 @@ class TestPnpIsta:
                 trace=TraceOptions(objective=False, gradient=False, snr=False),
             )
         assert info.value.iteration is not None
+
+    def test_overflowing_measurement_terms_fail_at_iteration_zero(self):
+        # |y|^2 overflows although y is finite; the suite fails the test on any RuntimeWarning
+        rng = np.random.default_rng(6)
+        prior, problem = make_problem(rng, n=16, m=16)
+        broken = dataclasses.replace(problem, y=np.full(16, 1e160))
+        with pytest.raises(NumericalFailureError, match="non-finite measurement terms at iteration 0") as info:
+            pnp_ista(broken, MmseDenoiser(prior, 0.3), 0.99 / problem.operator.lipschitz.value, max_iter=5)
+        assert info.value.iteration == 0
+
+    def test_traced_run_calls_no_second_log_density(self, monkeypatch):
+        # the penalty reads log(1 + e**gap) from the block the posterior mean left behind
+        rng = np.random.default_rng(3)
+        prior, problem = make_problem(rng, n=64, m=51)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the block evaluated the log density again")
+
+        monkeypatch.setattr(np, "logaddexp", refuse)
+        monkeypatch.setattr(prior_module, "neg_log_marginal", refuse)
+        monkeypatch.setattr(denoiser_module, "neg_log_marginal", refuse)
+        gamma = 0.99 / problem.operator.lipschitz.value
+        traces = solvers.pnp_ista_grid(problem, prior, (0.05, 0.2), gamma, max_iter=20)
+        assert all(np.all(np.isfinite(trace.objective)) for trace in traces)
 
     def test_trace_interval_and_density(self):
         rng = np.random.default_rng(7)
@@ -244,6 +276,126 @@ def test_gradient_energy_is_bounded_by_the_objective_decrease(alpha, rate, step,
     f, grad_norm = trace.objective, trace.grad_norm
     bound = (lip + 1.0 / gamma) ** 2 / (0.5 / gamma - 0.5 * lip)
     assert np.sum(grad_norm[1:] ** 2) <= bound * (f[0] - f[-1] + 1e-12 * abs(f[0]))
+
+
+# |z| from 1.35e154 up: z*z overflows, and the denoiser is then its slab's gain times z
+HUGE = st.floats(1.35e154, 1e300)
+BLOCK_INPUTS = st.one_of(st.just(0.0), st.floats(-1e3, 1e3), HUGE, HUGE.map(lambda v: -v))
+
+
+@st.composite
+def pnp_block(draw):
+    """A prior, denoiser levels, a step and a block of inputs, one row per level."""
+    alpha = draw(st.one_of(st.just(1.0), st.floats(1e-4, 1.0)))
+    prior = BernoulliGaussianPrior(alpha, draw(st.floats(1e-2, 1e2)))
+    sigmas = draw(st.lists(st.floats(1e-3, 1e2), min_size=1, max_size=4))
+    z = draw(arrays(np.float64, (len(sigmas), draw(st.integers(1, 8))), elements=BLOCK_INPUTS))
+    return prior, sigmas, draw(st.floats(1e-3, 1e3)), z
+
+
+def run_pnp_group(prior, sigmas, gamma, z):
+    prox, penalty = solvers._pnp_group(prior, sigmas, gamma, TraceOptions()).bind(z.shape[1])
+    x = np.empty_like(z)
+    prox(z, x)
+    return x, penalty
+
+
+class TestRunGroups:
+    """The ISTA block's in-place proxes and penalty against the library's own routes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(block=pnp_block())
+    @example(block=(BernoulliGaussianPrior(1.0, 1.0), [0.3], 0.5, np.array([[0.0, 1.5, -1e200]])))
+    @example(block=(BernoulliGaussianPrior(0.05), [0.01, 0.37], 0.5, np.array([[0.0, 2e154], [-3e250, 0.7]])))
+    def test_pnp_prox_is_the_posterior_mean(self, block):
+        # the same operations in the same order as posterior_moments, so the same bits
+        prior, sigmas, gamma, z = block
+        x, _ = run_pnp_group(prior, sigmas, gamma, z)
+        for sigma, xj, zj in zip(sigmas, x, z):
+            np.testing.assert_array_equal(xj, posterior_moments(prior, sigma, zj)[0])
+            np.testing.assert_array_equal(xj, posterior_mean(prior, sigma, zj))
+
+    @settings(max_examples=200, deadline=None)
+    @given(block=pnp_block())
+    @example(block=(BernoulliGaussianPrior(1.0, 1.0), [0.3], 0.5, np.array([[0.0, 1.5, -1e200]])))
+    @example(block=(BernoulliGaussianPrior(0.05), [0.01, 0.37], 0.5, np.array([[0.0, 1.5e154], [-3e250, 0.7]])))
+    # a spike so rare and a level so narrow that e**gap overflows near z = 0
+    @example(block=(BernoulliGaussianPrior(1e-300, 1.0), [1e-10], 0.5, np.array([[0.0, 1e-10, 3e-9, 1e-8, 1.0]])))
+    def test_pnp_penalty_is_the_induced_regularizer(self, block):
+        prior, sigmas, gamma, z = block
+        x, penalty = run_pnp_group(prior, sigmas, gamma, z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, grads = penalty(x, z, True)
+            for sigma, value, grad, xj, zj in zip(sigmas, values, grads, x, z):
+                terms, expected_grad = _induced_terms(prior, sigma, gamma, xj, zj)
+                # the independent route: the prior's own negative log density
+                nll = neg_log_marginal(prior, sigma, zj)
+                oracle = np.sum(-0.5 / gamma * (xj - zj) ** 2 + sigma**2 / gamma * nll)
+                np.testing.assert_array_equal(grad, expected_grad)
+                if not np.isfinite(oracle):
+                    # z*z overflows in both routes; the objective check rejects either
+                    assert not np.isfinite(value)
+                    continue
+                assert abs(value - np.sum(terms)) <= 1e-12 * abs(value)
+                # Either route rounds each of the log density's parts, which can cancel,
+                # so the error scale is the sum of the parts' magnitudes.
+                gap, s2, _ = prior_module._log_odds(prior, np.asarray(sigma), zj)
+                parts = sigma**2 / gamma * (
+                    abs(math.log(prior.alpha)) + abs(0.5 * np.log(2 * np.pi * s2)) + 0.5 * zj**2 / s2 + np.abs(gap) + 1.0
+                ) + 0.5 / gamma * (xj - zj) ** 2
+                assert abs(value - oracle) <= 1e-12 * np.sum(parts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        alpha=st.floats(1e-4, 1.0),
+        sigma_x=st.floats(1e-2, 1e2),
+        sigma=st.floats(1e-3, 1e2),
+        gamma=st.floats(1e-3, 1e3),
+        magnitude=arrays(np.float64, 4, elements=st.floats(1e-3, 1e2)),
+    )
+    def test_pnp_penalty_matches_the_inverting_route(self, alpha, sigma_x, sigma, gamma, magnitude):
+        # as in the denoiser tests, |z| spans 1e-3 to 1e2 * (sigma_x + sigma)
+        prior = BernoulliGaussianPrior(alpha, sigma_x)
+        z = (magnitude * np.array([1.0, -1.0, 1.0, -1.0]) * (sigma_x + sigma))[None, :]
+        x, penalty = run_pnp_group(prior, [sigma], gamma, z)
+        value = InducedRegularizer(MmseDenoiser(prior, sigma), gamma).value(x[0])
+        assert abs(penalty(x, z, False)[0][0] - value) <= 1e-12 * max(1.0, abs(value))
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-155, 1e155, math.inf, 0.0, -0.1, math.nan])
+    def test_pnp_group_rejects_a_level_without_a_normal_square(self, sigma):
+        with pytest.raises(ValueError, match="normal-float square"):
+            solvers._pnp_group(BernoulliGaussianPrior(0.2), [0.1, sigma], 0.5, TraceOptions())
+
+    def test_pnp_group_accepts_the_extreme_normal_levels(self):
+        for sigma in (1.5e-154, 1.3e154):
+            assert solvers._pnp_group(BernoulliGaussianPrior(0.2), [sigma], 0.5, TraceOptions()).width == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lams=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=4),
+        gamma=st.floats(1e-3, 1e3),
+        data=st.data(),
+    )
+    @example(lams=[1e308, 0.5], gamma=10.0, data=None)
+    def test_lasso_prox_is_the_soft_threshold(self, lams, gamma, data):
+        with np.errstate(over="ignore"):
+            tau = gamma * np.array(lams)[:, None]
+        if data is None:
+            # an infinite threshold (gamma * lam overflows) and inputs at exactly +-tau
+            z = np.array([[1e300, -1e300, 0.0], [0.5 * gamma, -0.5 * gamma, 0.25 * gamma]])
+        else:
+            z = data.draw(arrays(np.float64, (len(lams), data.draw(st.integers(1, 8))), elements=st.floats(-1e4, 1e4)))
+            ties = data.draw(arrays(np.bool_, z.shape))
+            z = np.where(ties, np.where(z >= 0.0, tau, -tau), z)
+        prox, _ = solvers._lasso_group(lams, gamma, TraceOptions()).bind(z.shape[1])
+        x = np.empty_like(z)
+        prox(z, x)
+        expected = soft_threshold(z, tau)
+        # equal values; the one difference in bits is that a zero comes out +0.0, where
+        # soft_threshold gives -0.0 for a negative input
+        np.testing.assert_array_equal(x, expected)
+        nonzero = expected != 0.0
+        np.testing.assert_array_equal(x[nonzero].view(np.int64), expected[nonzero].view(np.int64))
 
 
 class TestLassoIsta:
