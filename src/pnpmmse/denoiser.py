@@ -72,7 +72,8 @@ def posterior_mean(prior: BernoulliGaussianPrior, sigma, z):
     z = np.asarray(z, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     mean = np.empty(np.broadcast_shapes(z.shape, sigma.shape))
-    _Levels(prior, sigma).mean_into(z, mean, np.empty_like(mean))
+    with np.errstate(over="ignore"):
+        _Levels(prior, sigma).mean_into(z, mean, np.empty_like(mean))
     return mean[()]
 
 
@@ -87,8 +88,10 @@ def _induced_terms(prior: BernoulliGaussianPrior, sigma, gamma, x, u):
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     levels = _Levels(prior, np.asarray(sigma, dtype=float))
-    spread = levels.spread_into(u, np.empty(np.broadcast_shapes(u.shape, np.shape(levels.variance))))
-    return levels.regularizer_terms(gamma, x, u, spread), (u - x) / gamma
+    with np.errstate(over="ignore"):
+        spread = levels.spread_into(u, np.empty(np.broadcast_shapes(u.shape, np.shape(levels.variance))))
+        terms = levels.regularizer_terms(gamma, x, u, spread)
+    return terms, (u - x) / gamma
 
 
 def _usable_level(sigma) -> bool:
@@ -116,7 +119,10 @@ class _Levels:
     regularizer at the same inputs reads ``log(1 + e**gap)`` from it
     instead of forming the log density again.  ``gap`` is formed in the
     order of operations of ``prior._log_odds``, so the mean agrees bit for
-    bit with the mean of :func:`posterior_moments`.
+    bit with the mean of :func:`posterior_moments`.  Overflows here are
+    expected and exact (an ``e**gap`` beyond range is an infinite
+    ``spread``, whose mean is 0), so callers run the methods under
+    ``np.errstate(over="ignore")``.
     """
 
     def __init__(self, prior: BernoulliGaussianPrior, sigma):
@@ -145,8 +151,7 @@ class _Levels:
         if self.gap0 is None:
             out.fill(1.0)
             return out
-        with np.errstate(over="ignore"):
-            np.exp(self._gap_into(z, out), out=out)
+        np.exp(self._gap_into(z, out), out=out)
         out += 1.0
         return out
 
@@ -165,22 +170,21 @@ class _Levels:
         u**2/(2*(sigma_x**2 + sigma**2)) - log(1 + e**gap)``, the negative
         log of the smoothed marginal written around its slab term.
         """
-        with np.errstate(over="ignore"):
-            terms = np.log(spread)
-            # gap is largest at z = 0; where e**gap overflowed, log(1 + e**gap) is gap to double precision
-            if self.gap0 is not None and np.max(self.gap0) > _EXP_LIMIT:
-                np.copyto(terms, self._gap_into(u, np.empty_like(terms)), where=np.isinf(terms))
-            nll0 = -math.log(self.alpha) + 0.5 * np.log(2.0 * np.pi * self.slab_variance)
-            np.subtract(nll0, terms, out=terms)
-            quadratic = np.multiply(u, 0.5)
-            quadratic *= u
-            quadratic /= self.slab_variance
-            terms += quadratic
-            terms *= self.variance / gamma
-            residual = np.subtract(x, u, out=quadratic)
-            residual *= residual
-            residual *= 0.5 / gamma
-            terms -= residual
+        terms = np.log(spread)
+        # gap is largest at z = 0; where e**gap overflowed, log(1 + e**gap) is gap to double precision
+        if self.gap0 is not None and np.max(self.gap0) > _EXP_LIMIT:
+            np.copyto(terms, self._gap_into(u, np.empty_like(terms)), where=np.isinf(terms))
+        nll0 = -math.log(self.alpha) + 0.5 * np.log(2.0 * np.pi * self.slab_variance)
+        np.subtract(nll0, terms, out=terms)
+        quadratic = np.multiply(u, 0.5)
+        quadratic *= u
+        quadratic /= self.slab_variance
+        terms += quadratic
+        terms *= self.variance / gamma
+        residual = np.subtract(x, u, out=quadratic)
+        residual *= residual
+        residual *= 0.5 / gamma
+        terms -= residual
         return terms
 
 
