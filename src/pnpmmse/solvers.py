@@ -214,11 +214,6 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
         due = [(rec, penalty, r) for rec, penalty, r in zip(recs, penalties, rows) if rec.due(t, max_iter)]
         if any(rec.options.objective for rec, _, _ in due):
             fidelity = 0.5 * (np.einsum("ij,ij->i", x, g) - x @ hty + y_energy)
-        # one SNR call for the rows from the first to the last group that traces it
-        snr_rows = [r for rec, _, r in due if rec.options.snr]
-        if snr_rows:
-            lo = snr_rows[0].start
-            snr = snr_db(x[lo : snr_rows[-1].stop].T, problem.x_true)
         for rec, penalty, r in due:
             opts, xr = rec.options, x[r]
             if opts.objective or opts.gradient:
@@ -244,9 +239,9 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
                 _require_finite(grad_norm, t, "gradient norm")
                 rec.grad_norm.append(grad_norm)
             if opts.snr:
-                snr_r = snr[r.start - lo : r.stop - lo]
-                _require_finite(snr_r, t, "SNR")
-                rec.snr.append(snr_r)
+                snr = snr_db(xr.T, problem.x_true)
+                _require_finite(snr, t, "SNR")
+                rec.snr.append(snr)
 
     # A step too large for the problem, or measurements too large for their
     # energy, overflow in here, and each value they make non-finite is
