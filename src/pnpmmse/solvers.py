@@ -154,16 +154,17 @@ def _require_finite(x: np.ndarray, t: int, what: str = "iterate") -> None:
 class _RunGroup:
     """Adjacent rows of an ISTA block that share a prox, a penalty and a trace.
 
-    ``bind(n)`` returns the group's ``(prox, penalty)`` for iterates of
-    length ``n``, which may share a buffer of the group's shape.
     ``prox(Z, X)`` writes the prox of the group's ``width x n`` slice ``Z``
     of pre-denoise iterates into ``X``, so each run may carry its own
     parameter.  ``penalty(X, Z, gradient)`` returns the per-run regularizer
     values at ``X = prox(Z)``, with ``Z`` the last slice the prox took, and
-    their gradients if ``gradient`` is set, else ``None``.
+    their gradients if ``gradient`` is set, else ``None``.  The penalty may
+    read what that prox call left behind, so a group serves one block at a
+    time.
     """
 
-    bind: Callable[[int], tuple[Callable, Callable]]
+    prox: Callable[[np.ndarray, np.ndarray], object]
+    penalty: Callable[[np.ndarray, np.ndarray, bool], tuple]
     width: int
     trace: TraceOptions
 
@@ -202,7 +203,6 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
     edges = np.cumsum([0] + [group.width for group in groups])
     rows = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     recs = [_Recorder(group.trace) for group in groups]
-    proxes, penalties = zip(*(group.bind(problem.n) for group in groups))
     x = np.zeros((edges[-1], problem.n))
 
     def gradient(x):
@@ -211,13 +211,13 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
         return g
 
     def record(t, z, g):
-        due = [(rec, penalty, r) for rec, penalty, r in zip(recs, penalties, rows) if rec.due(t, max_iter)]
+        due = [(rec, group, r) for rec, group, r in zip(recs, groups, rows) if rec.due(t, max_iter)]
         if any(rec.options.objective for rec, _, _ in due):
             fidelity = 0.5 * (np.einsum("ij,ij->i", x, g) - x @ hty + y_energy)
-        for rec, penalty, r in due:
+        for rec, group, r in due:
             opts, xr = rec.options, x[r]
             if opts.objective or opts.gradient:
-                h_val, h_grad = penalty(xr, z[r], opts.gradient)
+                h_val, h_grad = group.penalty(xr, z[r], opts.gradient)
             rec.iterations.append(t)
             if opts.objective:
                 f = fidelity[r] + h_val
@@ -246,8 +246,9 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
     # A step too large for the problem, or measurements too large for their
     # energy, overflow in here, and each value they make non-finite is
     # rejected before anything keeps it: the measurement terms at once, the
-    # iterate by its step's checks, the gradient by the next step's, and the
-    # traced objective, gradient norm and SNR by ``record``.
+    # iterate (and with it the step) by its step's check, the gradient by the
+    # next step's, and the traced objective, gradient norm and SNR by
+    # ``record``.
     with np.errstate(over="ignore", invalid="ignore"):
         hty, y_energy = operator.adjoint(y), float(y @ y)
         if not (np.isfinite(y_energy) and np.all(np.isfinite(hty))):
@@ -256,16 +257,16 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
         # both proxes are odd, so the zero start is its own pre-image; the
         # prox there also leaves what each penalty reads at the first record
         z = np.zeros_like(x)
-        for prox, r in zip(proxes, rows):
-            prox(z[r], x[r])
+        for group, r in zip(groups, rows):
+            group.prox(z[r], x[r])
         record(0, z, g)
         for t in range(1, max_iter + 1):
             # z = x - gamma * g, formed in g's buffer: g is not read again.
             # Both proxes map a non-finite input to a non-finite output, so
             # the iterate's check also catches a non-finite z.
             z = np.add(x, np.multiply(g, -gamma, out=g), out=g)
-            for prox, r in zip(proxes, rows):
-                prox(z[r], x[r])
+            for group, r in zip(groups, rows):
+                group.prox(z[r], x[r])
             _require_finite(x, t)
             g = gradient(x)
             record(t, z, g)
@@ -275,28 +276,27 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
 def _pnp_group(prior, sigmas, gamma, trace):
     """PnP-ISTA runs, one denoiser level per row.
 
-    The prox is the posterior mean, which leaves ``1 + e**gap`` in a
-    buffer of the group's shape; the penalty reads the log density from
-    there.
+    The prox is the posterior mean, which leaves ``1 + e**gap`` behind;
+    the penalty at the same iterates reads the log density from there.
     """
     for sigma in sigmas:
         if not _usable_level(sigma):
             raise ValueError(f"sigma must be positive with a normal-float square, got {sigma}")
     levels = _Levels(prior, np.array(sigmas, dtype=float)[:, None])
+    # a fresh block per call, like any other temporary: one block kept for
+    # the whole run measurably raised a sweep's peak resident set
+    spread = None
 
-    def bind(n):
-        spread = np.empty((len(sigmas), n))
+    def prox(z, out):
+        nonlocal spread
+        spread = np.empty_like(z)
+        levels.mean_into(z, out, spread)
 
-        def prox(z, out):
-            levels.mean_into(z, out, spread)
+    def penalty(x, z, gradient):
+        value = np.sum(levels.regularizer_terms(gamma, x, z, spread), axis=1)
+        return value, ((z - x) / gamma if gradient else None)
 
-        def penalty(x, z, gradient):
-            value = np.sum(levels.regularizer_terms(gamma, x, z, spread), axis=1)
-            return value, ((z - x) / gamma if gradient else None)
-
-        return prox, penalty
-
-    return _RunGroup(bind, len(sigmas), trace)
+    return _RunGroup(prox, penalty, len(sigmas), trace)
 
 
 def _lasso_group(lams, gamma, trace):
@@ -309,20 +309,19 @@ def _lasso_group(lams, gamma, trace):
     with np.errstate(over="ignore"):
         tau_col = gamma * lam_row[:, None]
 
-    def bind(n):
-        def prox(z, out):
-            # z - clip(z, -tau, tau) is soft_threshold(z, tau); the clip is sign(z) * min(|z|, tau)
-            np.abs(z, out=out)
-            np.minimum(out, tau_col, out=out)
-            np.copysign(out, z, out=out)
-            return np.subtract(z, out, out=out)
+    def prox(z, out):
+        # z - clip(z, -tau, tau) is soft_threshold(z, tau); the clip is sign(z) * min(|z|, tau)
+        np.abs(z, out=out)
+        np.minimum(out, tau_col, out=out)
+        np.copysign(out, z, out=out)
+        np.subtract(z, out, out=out)
 
-        def penalty(x, z, gradient):
-            return lam_row * np.sum(np.abs(x), axis=1), None
-
-        return prox, penalty
-
-    return _RunGroup(bind, len(lam_row), replace(trace, gradient=False))
+    return _RunGroup(
+        prox,
+        lambda x, z, gradient: (lam_row * np.sum(np.abs(x), axis=1), None),
+        len(lam_row),
+        replace(trace, gradient=False),
+    )
 
 
 def pnp_ista_grid(

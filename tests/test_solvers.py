@@ -294,12 +294,12 @@ def pnp_block(draw):
 
 
 def run_pnp_group(prior, sigmas, gamma, z):
-    prox, penalty = solvers._pnp_group(prior, sigmas, gamma, TraceOptions()).bind(z.shape[1])
+    group = solvers._pnp_group(prior, sigmas, gamma, TraceOptions())
     x = np.empty_like(z)
     # the block runs its proxes where an overflowing z*z or e**gap is expected and exact
     with np.errstate(over="ignore"):
-        prox(z, x)
-    return x, penalty
+        group.prox(z, x)
+    return x, group.penalty
 
 
 class TestRunGroups:
@@ -389,9 +389,8 @@ class TestRunGroups:
             z = data.draw(arrays(np.float64, (len(lams), data.draw(st.integers(1, 8))), elements=st.floats(-1e4, 1e4)))
             ties = data.draw(arrays(np.bool_, z.shape))
             z = np.where(ties, np.where(z >= 0.0, tau, -tau), z)
-        prox, _ = solvers._lasso_group(lams, gamma, TraceOptions()).bind(z.shape[1])
         x = np.empty_like(z)
-        prox(z, x)
+        solvers._lasso_group(lams, gamma, TraceOptions()).prox(z, x)
         expected = soft_threshold(z, tau)
         # equal values; the one difference in bits is that a zero comes out +0.0, where
         # soft_threshold gives -0.0 for a negative input
