@@ -283,8 +283,7 @@ def _pnp_group(prior, sigmas, gamma, trace):
         if not _usable_level(sigma):
             raise ValueError(f"sigma must be positive with a normal-float square, got {sigma}")
     levels = _Levels(prior, np.array(sigmas, dtype=float)[:, None])
-    # a fresh block per call, like any other temporary: one block kept for
-    # the whole run measurably raised a sweep's peak resident set
+    # 1 + e**gap at the last prox call's input, which the penalty reads
     spread = None
 
     def prox(z, out):
