@@ -12,15 +12,14 @@ that objective traces can never mix step sizes.
 
 from __future__ import annotations
 
-import math
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalFailureError
 from .prior import (
     BernoulliGaussianPrior,
+    _Levels,
     _match_input_shape,
     _mixture_stats,
     _validated_finite,
@@ -52,14 +51,13 @@ def posterior_moments(prior: BernoulliGaussianPrior, sigma, z):
     negative by cancellation.
     """
     z = np.asarray(z, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    w_slab, w_spike, s2, v = _mixture_stats(prior, sigma, z)
-    c = prior.sigma_x**2 / s2
+    w_slab, w_spike, levels = _mixture_stats(prior, sigma, z)
+    c = levels.gain
     mean = w_slab * c * z
     ww = w_slab * w_spike
     with np.errstate(over="ignore", invalid="ignore"):
         spread = np.where(ww == 0.0, 0.0, ww * (c * z) ** 2)
-    var = w_slab * c * v + spread
+    var = w_slab * c * levels.variance + spread
     return mean, var
 
 
@@ -70,10 +68,10 @@ def posterior_mean(prior: BernoulliGaussianPrior, sigma, z):
     log odds alone: no marginal density, no variance.
     """
     z = np.asarray(z, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    mean = np.empty(np.broadcast_shapes(z.shape, sigma.shape))
+    levels = _Levels(prior, sigma)
+    mean = np.empty(np.broadcast_shapes(z.shape, np.shape(levels.variance)))
     with np.errstate(over="ignore"):
-        _Levels(prior, sigma).mean_into(z, mean, np.empty_like(mean))
+        levels.mean_into(z, mean, np.empty_like(mean))
     return mean[()]
 
 
@@ -87,105 +85,11 @@ def _induced_terms(prior: BernoulliGaussianPrior, sigma, gamma, x, u):
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    levels = _Levels(prior, np.asarray(sigma, dtype=float))
+    levels = _Levels(prior, sigma)
     with np.errstate(over="ignore"):
         spread = levels.spread_into(u, np.empty(np.broadcast_shapes(u.shape, np.shape(levels.variance))))
         terms = levels.regularizer_terms(gamma, x, u, spread)
     return terms, (u - x) / gamma
-
-
-def _usable_level(sigma) -> bool:
-    """Whether ``sigma`` is positive and its square a normal float.
-
-    :class:`_Levels` divides by ``sigma**2``; a square that underflows to
-    a subnormal or zero, or overflows, would turn its constants infinite.
-    That admits levels from about ``1.5e-154`` to ``1.3e154``.
-    """
-    square = sigma * sigma
-    return sigma > 0.0 and sys.float_info.min <= square <= sys.float_info.max
-
-
-# Above this log odds, e**gap overflows: log(DBL_MAX) is about 709.78.
-_EXP_LIMIT = 709.0
-
-
-class _Levels:
-    """The denoising channel at one level, or at a column of levels, one per row of a block.
-
-    Holds each level's constants that do not depend on the input, so the
-    posterior mean of a block is one short chain of in-place passes.  That
-    chain leaves the block ``spread = 1 + e**gap`` behind, where ``gap`` is
-    the log odds of the spike against the slab, and the induced
-    regularizer at the same inputs reads ``log(1 + e**gap)`` from it
-    instead of forming the log density again.  ``gap`` is formed in the
-    order of operations of ``prior._log_odds``, so the mean agrees bit for
-    bit with the mean of :func:`posterior_moments`.  Overflows here are
-    expected and exact (an ``e**gap`` beyond range is an infinite
-    ``spread``, whose mean is 0), so callers run the methods under
-    ``np.errstate(over="ignore")``.
-    """
-
-    def __init__(self, prior: BernoulliGaussianPrior, sigma):
-        self.alpha = prior.alpha
-        self.variance = sigma**2
-        self.slab_variance = prior.sigma_x**2 + self.variance
-        self.gain = prior.sigma_x**2 / self.slab_variance
-        self.curvature = 1.0 / self.variance - 1.0 / self.slab_variance
-        # gap at z = 0, its largest value; None when alpha is 1 and there is no spike
-        self.gap0 = None
-        if prior.alpha < 1.0:
-            # as in prior._log_odds, a ratio that overflows makes gap0 inf
-            with np.errstate(over="ignore"):
-                ratio = self.slab_variance / self.variance
-            self.gap0 = math.log1p(-prior.alpha) - math.log(prior.alpha) + 0.5 * np.log(ratio)
-
-    def _gap_into(self, z, out):
-        """``gap0 - 0.5*z*z*curvature`` into ``out``; an overflowing ``z*z`` gives ``-inf``."""
-        np.multiply(z, 0.5, out=out)
-        out *= z
-        out *= self.curvature
-        return np.subtract(self.gap0, out, out=out)
-
-    def spread_into(self, z, out):
-        """``1 + e**gap`` at ``z`` into ``out``: exactly 1 without a spike, inf where ``e**gap`` overflows."""
-        if self.gap0 is None:
-            out.fill(1.0)
-            return out
-        np.exp(self._gap_into(z, out), out=out)
-        out += 1.0
-        return out
-
-    def mean_into(self, z, out, spread):
-        """Posterior mean ``gain * z / (1 + e**gap)`` into ``out``, keeping ``1 + e**gap`` in ``spread``."""
-        self.spread_into(z, spread)
-        np.divide(1.0, spread, out=out)
-        out *= self.gain
-        out *= z
-        return out
-
-    def regularizer_terms(self, gamma, x, u, spread):
-        """Componentwise induced regularizer at ``x = D(u)``, given ``spread = 1 + e**gap`` at ``u``.
-
-        ``nll(u)`` is ``-log(alpha) + log(2*pi*(sigma_x**2 + sigma**2))/2 +
-        u**2/(2*(sigma_x**2 + sigma**2)) - log(1 + e**gap)``, the negative
-        log of the smoothed marginal written around its slab term.
-        """
-        terms = np.log(spread)
-        # gap is largest at z = 0; where e**gap overflowed, log(1 + e**gap) is gap to double precision
-        if self.gap0 is not None and np.max(self.gap0) > _EXP_LIMIT:
-            np.copyto(terms, self._gap_into(u, np.empty_like(terms)), where=np.isinf(terms))
-        nll0 = -math.log(self.alpha) + 0.5 * np.log(2.0 * np.pi * self.slab_variance)
-        np.subtract(nll0, terms, out=terms)
-        quadratic = np.multiply(u, 0.5)
-        quadratic *= u
-        quadratic /= self.slab_variance
-        terms += quadratic
-        terms *= self.variance / gamma
-        residual = np.subtract(x, u, out=quadratic)
-        residual *= residual
-        residual *= 0.5 / gamma
-        terms -= residual
-        return terms
 
 
 @dataclass(frozen=True)
@@ -198,16 +102,16 @@ class MmseDenoiser:
 
     prior: BernoulliGaussianPrior
     sigma: float
+    # the channel at this level; building it checks sigma
+    _levels: _Levels = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        object.__setattr__(self, "_levels", _Levels(self.prior, self.sigma))
 
     @property
     def slab_gain(self) -> float:
         """Wiener gain of the slab branch, ``sigma_x**2 / (sigma_x**2 + sigma**2)``."""
-        sx2 = self.prior.sigma_x**2
-        return sx2 / (sx2 + self.sigma**2)
+        return float(self._levels.gain)
 
     def denoise(self, z) -> np.ndarray:
         """Componentwise posterior mean."""

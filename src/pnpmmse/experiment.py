@@ -16,13 +16,14 @@ import dataclasses
 import logging
 import math
 import numbers
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .denoiser import InducedRegularizer, MmseDenoiser, _induced_terms, _usable_level
+from .denoiser import InducedRegularizer, MmseDenoiser, _induced_terms
 from .errors import ConfigurationError, NumericalFailureError
 from .linear_model import (
     MeasurementOperator,
@@ -33,7 +34,7 @@ from .linear_model import (
     grad_data_fidelity,
     snr_db,
 )
-from .prior import BernoulliGaussianPrior, marginal_density, sample_signal
+from .prior import BernoulliGaussianPrior, _usable_level, marginal_density, sample_signal
 from .solvers import (
     TraceOptions,
     _ista,
@@ -162,10 +163,13 @@ class ExperimentConfig:
             raise ConfigurationError("lambda_grid must be nonempty when lasso is enabled")
         if not all(0.0 < v < math.inf for v in self.sigma_grid + self.lambda_grid):
             raise ConfigurationError("grid values must be positive and finite")
-        if not all(_usable_level(s) for s in self.sigma_grid):
+        if not _usable_level(self.sigma_grid):
             raise ConfigurationError("sigma_grid entries must square to a normal float (about 1.5e-154 to 1.3e154)")
-        if not math.isfinite(self.input_snr_db):
-            raise ConfigurationError("input_snr_db must be finite")
+        # the noise calibration divides by the power 10**(snr/10)
+        with np.errstate(over="ignore"):
+            snr_power = np.power(10.0, self.input_snr_db / 10.0)
+        if not sys.float_info.min <= snr_power <= sys.float_info.max:
+            raise ConfigurationError("input_snr_db must make 10**(snr/10) a normal float (about -3076 to 3082 dB)")
         if not 0.0 < self.gamp_damping <= 1.0:
             raise ConfigurationError("gamp_damping must be in (0, 1]")
         if isinstance(self.gamma_policy, str):

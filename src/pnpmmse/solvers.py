@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .denoiser import InducedRegularizer, MmseDenoiser, _Levels, _usable_level, posterior_moments
+from .denoiser import InducedRegularizer, MmseDenoiser, posterior_moments
 from .errors import NumericalFailureError
 from .linear_model import (
     MeasurementOperator,
@@ -29,7 +29,7 @@ from .linear_model import (
     grad_data_fidelity,
     snr_db,
 )
-from .prior import BernoulliGaussianPrior
+from .prior import BernoulliGaussianPrior, _Levels
 
 __all__ = [
     "TraceOptions",
@@ -279,9 +279,6 @@ def _pnp_group(prior, sigmas, gamma, trace):
     The prox is the posterior mean, which leaves ``1 + e**gap`` behind;
     the penalty at the same iterates reads the log density from there.
     """
-    for sigma in sigmas:
-        if not _usable_level(sigma):
-            raise ValueError(f"sigma must be positive with a normal-float square, got {sigma}")
     levels = _Levels(prior, np.array(sigmas, dtype=float)[:, None])
     # 1 + e**gap at the last prox call's input, which the penalty reads
     spread = None
@@ -308,15 +305,8 @@ def _lasso_group(lams, gamma, trace):
     with np.errstate(over="ignore"):
         tau_col = gamma * lam_row[:, None]
 
-    def prox(z, out):
-        # z - clip(z, -tau, tau) is soft_threshold(z, tau); the clip is sign(z) * min(|z|, tau)
-        np.abs(z, out=out)
-        np.minimum(out, tau_col, out=out)
-        np.copysign(out, z, out=out)
-        np.subtract(z, out, out=out)
-
     return _RunGroup(
-        prox,
+        lambda z, out: _shrink_into(z, tau_col, out),
         lambda x, z, gradient: (lam_row * np.sum(np.abs(x), axis=1), None),
         len(lam_row),
         replace(trace, gradient=False),
@@ -382,8 +372,20 @@ def soft_threshold(z, tau):
     if not np.all(tau >= 0.0):
         raise ValueError(f"tau must be nonnegative, got {tau}")
     z = np.asarray(z, dtype=float)
-    out = np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
+    out = _shrink_into(z, tau, np.empty(np.broadcast_shapes(z.shape, tau.shape)))
     return float(out) if out.ndim == 0 else out
+
+
+def _shrink_into(z, tau, out):
+    """The soft threshold of ``z`` at ``tau`` into ``out``, as ``z - clip(z, -tau, tau)``.
+
+    The clip is ``sign(z) * min(|z|, tau)``, formed in ``out``; a zero
+    comes out ``+0.0``, also from a negative input.
+    """
+    np.abs(z, out=out)
+    np.minimum(out, tau, out=out)
+    np.copysign(out, z, out=out)
+    return np.subtract(z, out, out=out)
 
 
 def lasso_ista_grid(
@@ -457,7 +459,8 @@ def gamp(
     true signal and stays only until the benchmark reference is captured
     again without it: the run also stops, with ``diverged=True`` and
     ``stop_reason="diverged"``, once the traced SNR has stayed more than
-    20 dB below its running peak for 10 consecutive records.
+    20 dB below its running peak for 10 consecutive records.  A non-finite
+    state or SNR record fails the run with a :class:`NumericalFailureError`.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must be in (0, 1], got {damping}")
@@ -517,7 +520,10 @@ def gamp(
         if settled or rec.due(t, max_iter):
             rec.iterations.append(t)
             if trace.snr:
-                current = snr_db(x_hat, problem.x_true)
+                # an estimate far from the signal overflows the error energy: -inf dB, rejected here
+                with np.errstate(over="ignore"):
+                    current = snr_db(x_hat, problem.x_true)
+                _require_finite(current, t, "SNR")
                 rec.snr.append(current)
                 best_snr = max(best_snr, current)
                 below_peak = below_peak + 1 if current < best_snr - DIVERGENCE_DROP_DB else 0

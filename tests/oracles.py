@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's closed forms: posterior
 moments come from adaptive quadrature, inverses from scipy's bracketing
-root finder, the LASSO optimum from coordinate descent, spectral norms
-from a dense eigensolver, and derivatives from finite differences.
+root finder, the LASSO optimum from coordinate descent, the soft
+threshold from its sign-and-max form, spectral norms from a dense
+eigensolver, and derivatives from finite differences.
 """
 
 from __future__ import annotations
@@ -80,6 +81,11 @@ def brentq_invert(denoiser, x):
         hi *= 2.0
     root = brentq(lambda z: denoiser.denoise(z) - a, lo, hi, xtol=1e-14, rtol=1e-15)
     return root if x > 0 else -root
+
+
+def sign_max_soft_threshold(z, tau):
+    """The soft threshold written as ``sign(z) * max(|z| - tau, 0)``; a zero keeps the sign of ``z``."""
+    return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
 
 
 def lasso_objective(problem, lam, x):

@@ -81,6 +81,8 @@ class TestConfig:
             dict(sigma_grid=(math.inf,)),
             dict(lambda_grid=(math.nan,)),
             dict(input_snr_db=math.nan),
+            dict(input_snr_db=4000.0),
+            dict(input_snr_db=-4000.0),
             dict(gamma_policy=math.inf),
             # levels whose square is not a normal float
             dict(sigma_grid=(0.1, 1e-300)),
@@ -484,6 +486,25 @@ class TestCli:
         assert main([*argv, "--out", str(tmp_path)]) == 3
         assert len(re.findall(r"failed: non-finite SNR at iteration 500", caplog.text)) == 2
         assert not (tmp_path / "rate_sweep.csv").exists()
+
+    @pytest.mark.parametrize("snr", [4000, -4000])
+    def test_input_snr_without_a_normal_power_is_a_configuration_error(self, tmp_path, capsys, snr):
+        # 10**400 overflows and 10**-400 underflows to zero in the noise calibration
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 16, "trials": 1, "max_iter": 3, "input_snr_db": snr}))
+        argv = ["sweep", "--config", str(cfg), "--rates", "0.5,0.6", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "input_snr_db must make 10**(snr/10) a normal float" in capsys.readouterr().err
+
+    def test_nonfinite_gamp_snr_fails_its_trial(self, tmp_path, caplog):
+        # at 3000 dB, GAMP's estimate drifts far enough from the signal to overflow the
+        # error energy: an SNR of -inf, which the suite would also see as an overflow warning
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"input_snr_db": 3000}')
+        argv = ["sweep", "--config", str(cfg), "--n", "16", "--trials", "1", "--rates", "0.5,0.6"]
+        assert main([*argv, "--max-iter", "3", "--out", str(tmp_path / "out")]) == 3
+        assert len(re.findall(r"failed: non-finite SNR at iteration \d+", caplog.text)) == 2
+        assert not (tmp_path / "out" / "rate_sweep.csv").exists()
 
     def test_level_without_a_normal_square_is_a_configuration_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

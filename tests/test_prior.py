@@ -8,12 +8,17 @@ from scipy.special import expit
 
 from pnpmmse import (
     BernoulliGaussianPrior,
+    MmseDenoiser,
+    TraceOptions,
     marginal_density,
     neg_log_marginal,
     neg_log_marginal_prime,
     neg_log_marginal_second,
+    posterior_mean,
+    posterior_moments,
     sample_signal,
 )
+from pnpmmse import solvers
 from pnpmmse.prior import _logistic
 
 from oracles import central_diff, gaussian_pdf, quad_marginal_density
@@ -31,6 +36,20 @@ SIGMAS = [0.05, 0.25, 0.5, 1.0, 0.37]
 def wide_grid(prior, sigma, points=201):
     half = 10.0 * (prior.sigma_x + sigma)
     return np.linspace(-half, half, points)
+
+
+# every function that takes a denoising level, called at one level
+Z = np.array([1e-3, 1.0])
+LEVEL_TAKERS = {
+    "MmseDenoiser": lambda prior, sigma: MmseDenoiser(prior, sigma),
+    "posterior_mean": lambda prior, sigma: posterior_mean(prior, sigma, Z),
+    "posterior_moments": lambda prior, sigma: posterior_moments(prior, sigma, Z),
+    "neg_log_marginal": lambda prior, sigma: neg_log_marginal(prior, sigma, Z),
+    "neg_log_marginal_prime": lambda prior, sigma: neg_log_marginal_prime(prior, sigma, Z),
+    "neg_log_marginal_second": lambda prior, sigma: neg_log_marginal_second(prior, sigma, Z),
+    "marginal_density": lambda prior, sigma: marginal_density(prior, sigma, Z),
+    "_pnp_group": lambda prior, sigma: solvers._pnp_group(prior, [0.1, sigma], 0.5, TraceOptions()),
+}
 
 
 class TestPriorConstruction:
@@ -192,3 +211,25 @@ class TestLogistic:
         assert _logistic(-np.inf) == 0.0
         assert _logistic(0.0) == 0.5
         assert _logistic(np.inf) == 1.0
+
+
+class TestLevelRule:
+    """One rule for every level: positive, with a square that is a normal float."""
+
+    @pytest.mark.parametrize("name", LEVEL_TAKERS)
+    @pytest.mark.parametrize("sigma", [0.0, -0.1, math.nan, math.inf, 1e-300, 1e155])
+    def test_unusable_level_rejected(self, name, sigma):
+        with pytest.raises(ValueError, match="normal-float square"):
+            LEVEL_TAKERS[name](BernoulliGaussianPrior(0.05), sigma)
+
+    @pytest.mark.parametrize("name", LEVEL_TAKERS)
+    @pytest.mark.parametrize("sigma", [1.5e-154, 1.3e154])
+    def test_extreme_normal_levels_accepted(self, name, sigma):
+        LEVEL_TAKERS[name](BernoulliGaussianPrior(0.05), sigma)
+
+    def test_smallest_level_passes_its_input_through(self):
+        # sigma_x**2 / sigma**2 overflows here; the log odds at z = 0 stay finite
+        prior = BernoulliGaussianPrior(0.05)
+        mean = posterior_mean(prior, 1.5e-154, Z)
+        np.testing.assert_allclose(mean, Z, rtol=1e-15)
+        np.testing.assert_array_equal(mean, posterior_moments(prior, 1.5e-154, Z)[0])

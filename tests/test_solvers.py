@@ -45,6 +45,7 @@ from oracles import (
     lasso_coordinate_descent,
     lasso_objective,
     ridge_stationary_point,
+    sign_max_soft_threshold,
 )
 
 
@@ -63,6 +64,8 @@ class TestSoftThreshold:
     def test_basic_values(self):
         assert soft_threshold(3.0, 1.0) == 2.0
         assert soft_threshold(-0.5, 1.0) == 0.0
+        # a zero is +0.0, also from a negative input
+        assert math.copysign(1.0, soft_threshold(-0.5, 1.0)) == 1.0
         assert soft_threshold(-3.0, 1.0) == -2.0
         # one threshold per column of a block
         block = soft_threshold(np.array([[3.0, 3.0], [-0.5, -3.0]]), np.array([1.0, 2.0]))
@@ -341,7 +344,8 @@ class TestRunGroups:
                 assert abs(value - np.sum(terms)) <= 1e-12 * abs(value)
                 # Either route rounds each of the log density's parts, which can cancel,
                 # so the error scale is the sum of the parts' magnitudes.
-                gap, s2, _ = prior_module._log_odds(prior, np.asarray(sigma), zj)
+                levels = prior_module._Levels(prior, sigma)
+                gap, s2 = levels.log_odds(zj), levels.slab_variance
                 parts = sigma**2 / gamma * (
                     abs(math.log(prior.alpha)) + abs(0.5 * np.log(2 * np.pi * s2)) + 0.5 * zj**2 / s2 + np.abs(gap) + 1.0
                 ) + 0.5 / gamma * (xj - zj) ** 2
@@ -391,9 +395,11 @@ class TestRunGroups:
             z = np.where(ties, np.where(z >= 0.0, tau, -tau), z)
         x = np.empty_like(z)
         solvers._lasso_group(lams, gamma, TraceOptions()).prox(z, x)
-        expected = soft_threshold(z, tau)
+        # the prox and soft_threshold share one kernel: the same bits
+        np.testing.assert_array_equal(x.view(np.int64), soft_threshold(z, tau).view(np.int64))
+        expected = sign_max_soft_threshold(z, tau)
         # equal values; the one difference in bits is that a zero comes out +0.0, where
-        # soft_threshold gives -0.0 for a negative input
+        # the sign-and-max form gives -0.0 for a negative input
         np.testing.assert_array_equal(x, expected)
         nonzero = expected != 0.0
         np.testing.assert_array_equal(x[nonzero].view(np.int64), expected[nonzero].view(np.int64))
