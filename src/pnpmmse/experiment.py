@@ -522,6 +522,31 @@ def _grid_for(prior: BernoulliGaussianPrior, sigma: float, points: int = 201) ->
     return np.linspace(-half, half, points)
 
 
+def _reference_channels():
+    """Each channel of :data:`_VALIDATION_PRIORS` as ``(prior, sigma, denoiser)``."""
+    for alpha, sigma_x, sigma in _VALIDATION_PRIORS:
+        prior = BernoulliGaussianPrior(alpha, sigma_x)
+        yield prior, sigma, MmseDenoiser(prior, sigma)
+
+
+def _verdict(worst: float, tol: float, what: str) -> tuple[str, str]:
+    """``PASS`` when ``worst < tol``, else ``FAIL``, and a detail naming ``what``, ``worst`` and ``tol``."""
+    return ("PASS" if worst < tol else "FAIL"), f"{what} {worst:.3e} (tol {tol:.3e})"
+
+
+def _gradient_gap(f, grad, points) -> float:
+    """Largest relative distance of ``grad`` from ``f``'s central differences at step 1e-6 over ``points``.
+
+    Each distance is taken relative to ``max(1, |grad|)``.
+    """
+    worst = 0.0
+    for x in points:
+        g = grad(x)
+        fd = np.array([(f(x + e) - f(x - e)) / 2e-6 for e in 1e-6 * np.eye(x.size)])
+        worst = max(worst, float(np.linalg.norm(fd - g)) / max(1.0, float(np.linalg.norm(g))))
+    return worst
+
+
 def _small_problem(config: ExperimentConfig, n=64, m=48, alpha=0.2):
     prior = BernoulliGaussianPrior(alpha)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(97,)))
@@ -552,14 +577,11 @@ def run_validation_suite(config: ExperimentConfig) -> ValidationReport:
 
     def check_tweedie(tol):
         worst = 0.0
-        for alpha, sigma_x, sigma in _VALIDATION_PRIORS:
-            prior = BernoulliGaussianPrior(alpha, sigma_x)
-            denoiser = MmseDenoiser(prior, sigma)
+        for prior, sigma, denoiser in _reference_channels():
             z = _grid_for(prior, sigma)
             resid = np.abs(denoiser.tweedie_residual(z)) / np.maximum(1.0, np.abs(z))
             worst = max(worst, float(np.max(resid)))
-        status = "PASS" if worst < tol else "FAIL"
-        return status, f"max scaled residual {worst:.3e} (tol {tol:.3e})"
+        return _verdict(worst, tol, "max scaled residual")
 
     def check_prox_phi(tol):
         violations = 0
@@ -598,43 +620,32 @@ def run_validation_suite(config: ExperimentConfig) -> ValidationReport:
     def check_derivative_fd(tol):
         worst = 0.0
         step = 1e-5
-        for alpha, sigma_x, sigma in _VALIDATION_PRIORS:
-            prior = BernoulliGaussianPrior(alpha, sigma_x)
-            denoiser = MmseDenoiser(prior, sigma)
+        for prior, sigma, denoiser in _reference_channels():
             z = _grid_for(prior, sigma, 101)
             fd = (denoiser.denoise(z + step) - denoiser.denoise(z - step)) / (2 * step)
             worst = max(worst, float(np.max(np.abs(fd - denoiser.derivative(z)))))
-        status = "PASS" if worst < tol else "FAIL"
-        return status, f"max |fd - analytic| {worst:.3e} (tol {tol:.3e})"
+        return _verdict(worst, tol, "max |fd - analytic|")
 
     def check_derivative_identity(tol):
         worst = 0.0
-        for alpha, sigma_x, sigma in _VALIDATION_PRIORS:
-            prior = BernoulliGaussianPrior(alpha, sigma_x)
-            denoiser = MmseDenoiser(prior, sigma)
+        for prior, sigma, denoiser in _reference_channels():
             z = _grid_for(prior, sigma)
             gap = denoiser.derivative(z) - denoiser.posterior_variance(z) / sigma**2
             worst = max(worst, float(np.max(np.abs(gap))))
-        status = "PASS" if worst < tol else "FAIL"
-        return status, f"max identity gap {worst:.3e} (tol {tol:.3e})"
+        return _verdict(worst, tol, "max identity gap")
 
     def check_inverse(tol):
         worst = 0.0
-        for alpha, sigma_x, sigma in _VALIDATION_PRIORS:
-            prior = BernoulliGaussianPrior(alpha, sigma_x)
-            denoiser = MmseDenoiser(prior, sigma)
+        for prior, sigma, denoiser in _reference_channels():
             z = _grid_for(prior, sigma, 81)
             worst = max(worst, float(np.max(np.abs(denoiser.invert(denoiser.denoise(z)) - z))))
             x = np.linspace(-3.0, 3.0, 41)
             worst = max(worst, float(np.max(np.abs(denoiser.denoise(denoiser.invert(x)) - x))))
-        status = "PASS" if worst < tol else "FAIL"
-        return status, f"max round-trip error {worst:.3e} (tol {tol:.3e})"
+        return _verdict(worst, tol, "max round-trip error")
 
     def check_jacobian(tol):
         min_slope = np.inf
-        for alpha, sigma_x, sigma in _VALIDATION_PRIORS:
-            prior = BernoulliGaussianPrior(alpha, sigma_x)
-            denoiser = MmseDenoiser(prior, sigma)
+        for prior, sigma, denoiser in _reference_channels():
             slopes = denoiser.derivative(_grid_for(prior, sigma))
             min_slope = min(min_slope, float(np.min(slopes)))
         expansive = MmseDenoiser(BernoulliGaussianPrior(0.2), 0.5)
@@ -648,8 +659,7 @@ def run_validation_suite(config: ExperimentConfig) -> ValidationReport:
         from scipy.integrate import quad
 
         worst = 0.0
-        for alpha, sigma_x, sigma in _VALIDATION_PRIORS:
-            prior = BernoulliGaussianPrior(alpha, sigma_x)
+        for prior, sigma, _ in _reference_channels():
             half = 14.0 * (prior.sigma_x + sigma)
             total, _ = quad(
                 lambda t: marginal_density(prior, sigma, t),
@@ -659,41 +669,19 @@ def run_validation_suite(config: ExperimentConfig) -> ValidationReport:
                 epsabs=1e-12,
             )
             worst = max(worst, abs(total - 1.0))
-        status = "PASS" if worst < tol else "FAIL"
-        return status, f"max |integral - 1| {worst:.3e} (tol {tol:.3e})"
+        return _verdict(worst, tol, "max |integral - 1|")
 
     def check_fidelity_grad(tol):
-        prior, problem = _small_problem(config, n=8, m=12)
-        worst = 0.0
-        for _ in range(20):
-            x = rng.normal(size=8)
-            g = grad_data_fidelity(problem, x)
-            fd = np.empty(8)
-            for i in range(8):
-                e = np.zeros(8)
-                e[i] = 1e-6
-                fd[i] = (data_fidelity(problem, x + e) - data_fidelity(problem, x - e)) / 2e-6
-            scale = max(1.0, float(np.linalg.norm(g)))
-            worst = max(worst, float(np.linalg.norm(fd - g)) / scale)
-        status = "PASS" if worst < tol else "FAIL"
-        return status, f"max relative gradient gap {worst:.3e} (tol {tol:.3e})"
+        _, problem = _small_problem(config, n=8, m=12)
+        points = (rng.normal(size=8) for _ in range(20))
+        worst = _gradient_gap(lambda x: data_fidelity(problem, x), lambda x: grad_data_fidelity(problem, x), points)
+        return _verdict(worst, tol, "max relative gradient gap")
 
     def check_regularizer_grad(tol):
         prior = BernoulliGaussianPrior(0.2)
         reg = InducedRegularizer(MmseDenoiser(prior, 0.4), 0.3)
-        worst = 0.0
-        for _ in range(10):
-            x = rng.normal(size=5)
-            g = reg.gradient(x)
-            fd = np.empty(5)
-            for i in range(5):
-                e = np.zeros(5)
-                e[i] = 1e-6
-                fd[i] = (reg.value(x + e) - reg.value(x - e)) / 2e-6
-            scale = max(1.0, float(np.linalg.norm(g)))
-            worst = max(worst, float(np.linalg.norm(fd - g)) / scale)
-        status = "PASS" if worst < tol else "FAIL"
-        return status, f"max relative gradient gap {worst:.3e} (tol {tol:.3e})"
+        worst = _gradient_gap(reg.value, reg.gradient, (rng.normal(size=5) for _ in range(10)))
+        return _verdict(worst, tol, "max relative gradient gap")
 
     def check_mm_sandwich(tol):
         prior, problem = _small_problem(config)
@@ -752,8 +740,7 @@ def run_validation_suite(config: ExperimentConfig) -> ValidationReport:
             estimate = operator.lipschitz.value
             exact = float(np.max(np.linalg.eigvalsh(operator.matrix.T @ operator.matrix)))
             worst = max(worst, abs(estimate - exact) / exact)
-        status = "PASS" if worst < tol else "FAIL"
-        return status, f"max relative eigenvalue gap {worst:.3e} (tol {tol:.3e})"
+        return _verdict(worst, tol, "max relative eigenvalue gap")
 
     def check_gamp_decoupled(tol):
         prior = BernoulliGaussianPrior(0.2)
@@ -765,8 +752,7 @@ def run_validation_suite(config: ExperimentConfig) -> ValidationReport:
         trace = gamp(problem, prior, max_iter=200, damping=config.gamp_damping)
         exact = MmseDenoiser(prior, problem.sigma_e).denoise(problem.y)
         worst = float(np.max(np.abs(trace.final_iterate - exact)))
-        status = "PASS" if worst < tol else "FAIL"
-        return status, f"max deviation from scalar denoiser {worst:.3e} (tol {tol:.3e})"
+        return _verdict(worst, tol, "max deviation from scalar denoiser")
 
     run_check("tweedie_identity", check_tweedie)
     run_check("prox_phi_minimum", check_prox_phi)

@@ -146,7 +146,11 @@ def calibrate_noise_sigma(
     energy = float(np.linalg.norm(hx))
     if energy == 0.0:
         raise ValueError("x_true maps to zero; input SNR is undefined")
-    return energy / np.sqrt(operator.m * 10.0 ** (input_snr_db / 10.0))
+    power = operator.m * 10.0 ** (input_snr_db / 10.0)
+    if np.isinf(power):
+        # the product overflows near the top of the admitted SNR range; its factors' roots do not
+        return energy / np.sqrt(operator.m) / 10.0 ** (input_snr_db / 20.0)
+    return energy / np.sqrt(power)
 
 
 def build_instance(

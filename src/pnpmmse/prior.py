@@ -108,11 +108,13 @@ class _Levels:
 
     Holds each level's constants that do not depend on the input: the
     noise variance ``sigma**2``, the slab variance ``sigma_x**2 +
-    sigma**2``, the slab gain, and the log odds ``gap`` of the spike
-    against the slab at ``z = 0`` with their curvature in ``z``.  Every
-    closed form in the package reads its log odds from here, and the
-    constructor is the one place a level is checked: it raises
-    :class:`ValueError` unless :func:`_usable_level` holds.
+    sigma**2``, the slab gain, the slab's log normalizer
+    ``log(2*pi*(sigma_x**2 + sigma**2))/2``, and the log odds ``gap`` of
+    the spike against the slab at ``z = 0`` with their curvature in
+    ``z``.  Every closed form in the package reads its log odds and log
+    normalizer from here, and the constructor is the one place a level
+    is checked: it raises :class:`ValueError` unless :func:`_usable_level`
+    holds.
 
     The posterior mean of a block is one short chain of in-place passes.
     That chain leaves the block ``spread = 1 + e**gap`` behind, and the
@@ -131,6 +133,13 @@ class _Levels:
         self.slab_variance = prior.sigma_x**2 + self.variance
         self.gain = prior.sigma_x**2 / self.slab_variance
         self.curvature = 1.0 / self.variance - 1.0 / self.slab_variance
+        with np.errstate(over="ignore"):
+            log_norm = 0.5 * np.log(2.0 * np.pi * self.slab_variance)
+        # the product overflows once sigma is above about 5.3e153; the logs' sum does not
+        if np.isinf(log_norm).any():
+            sum_of_logs = 0.5 * (math.log(2.0 * math.pi) + np.log(self.slab_variance))
+            log_norm = np.where(np.isinf(log_norm), sum_of_logs, log_norm)
+        self.log_slab_norm = log_norm
         # gap at z = 0, its largest value; None when alpha is 1 and there is no spike
         self.gap0 = None
         if prior.alpha < 1.0:
@@ -180,7 +189,7 @@ class _Levels:
         # gap is largest at z = 0; where e**gap overflowed, log(1 + e**gap) is gap to double precision
         if self.gap0 is not None and np.max(self.gap0) > _EXP_LIMIT:
             np.copyto(terms, self._gap_into(u, np.empty_like(terms)), where=np.isinf(terms))
-        nll0 = -math.log(self.alpha) + 0.5 * np.log(2.0 * np.pi * self.slab_variance)
+        nll0 = -math.log(self.alpha) + self.log_slab_norm
         np.subtract(nll0, terms, out=terms)
         quadratic = np.multiply(u, 0.5)
         quadratic *= u
@@ -211,7 +220,7 @@ def _log_density(prior, sigma, z):
     with np.errstate(over="ignore"):
         gap = levels.log_odds(z)
         s2 = levels.slab_variance
-        log_slab = math.log(prior.alpha) - 0.5 * z * z / s2 - 0.5 * np.log(2.0 * np.pi * s2)
+        log_slab = math.log(prior.alpha) - 0.5 * z * z / s2 - levels.log_slab_norm
         return log_slab + np.logaddexp(0.0, gap)
 
 

@@ -15,7 +15,7 @@ gradient costs one ``op.normal`` product for the whole block.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,10 +35,8 @@ __all__ = [
     "TraceOptions",
     "SolverTrace",
     "pnp_ista",
-    "pnp_ista_grid",
     "soft_threshold",
     "lasso_ista",
-    "lasso_ista_grid",
     "gamp",
     "mm_surrogate",
 ]
@@ -313,26 +311,6 @@ def _lasso_group(lams, gamma, trace):
     )
 
 
-def pnp_ista_grid(
-    problem: ProblemInstance,
-    prior: BernoulliGaussianPrior,
-    sigmas: Sequence[float],
-    gamma: float,
-    max_iter: int = 500,
-    trace: TraceOptions = TraceOptions(),
-    *,
-    allow_large_step: bool = False,
-) -> list[SolverTrace]:
-    """:func:`pnp_ista` at every denoiser level in ``sigmas`` as one block.
-
-    Returns one trace per level, in order.  The levels share each
-    iteration's one ``op.normal`` product, and the posterior mean takes one
-    level per row, so each trace equals the single-level run up to
-    rounding.  Any level that fails fails the call.
-    """
-    return _ista(problem, gamma, [_pnp_group(prior, sigmas, gamma, trace)], max_iter, allow_large_step)[0]
-
-
 def pnp_ista(
     problem: ProblemInstance,
     denoiser: MmseDenoiser,
@@ -357,9 +335,8 @@ def pnp_ista(
     pre-image, from the ``1 + e**gap`` block the denoising step left
     behind, so no inversion and no second log-density evaluation runs.
     """
-    return pnp_ista_grid(
-        problem, denoiser.prior, (denoiser.sigma,), gamma, max_iter, trace, allow_large_step=allow_large_step
-    )[0]
+    group = _pnp_group(denoiser.prior, (denoiser.sigma,), gamma, trace)
+    return _ista(problem, gamma, [group], max_iter, allow_large_step)[0][0]
 
 
 def soft_threshold(z, tau):
@@ -388,23 +365,6 @@ def _shrink_into(z, tau, out):
     return np.subtract(z, out, out=out)
 
 
-def lasso_ista_grid(
-    problem: ProblemInstance,
-    lams: Sequence[float],
-    gamma: float,
-    max_iter: int = 500,
-    trace: TraceOptions = TraceOptions(objective=True, gradient=False, snr=True),
-    *,
-    allow_large_step: bool = False,
-) -> list[SolverTrace]:
-    """:func:`lasso_ista` at every weight in ``lams`` as one block.
-
-    Returns one trace per weight, in order; the weights share each matrix
-    product and the soft threshold takes one ``gamma*lam`` per row.
-    """
-    return _ista(problem, gamma, [_lasso_group(lams, gamma, trace)], max_iter, allow_large_step)[0]
-
-
 def lasso_ista(
     problem: ProblemInstance,
     lam: float,
@@ -420,7 +380,7 @@ def lasso_ista(
     the traced objective is ``0.5*|y - Hx|^2 + lam*|x|_1`` and is checked
     to be nonincreasing under a valid step size.  No gradient is traced.
     """
-    return lasso_ista_grid(problem, (lam,), gamma, max_iter, trace, allow_large_step=allow_large_step)[0]
+    return _ista(problem, gamma, [_lasso_group((lam,), gamma, trace)], max_iter, allow_large_step)[0][0]
 
 
 _GAMP_SLOPE_EPS = 1e-12

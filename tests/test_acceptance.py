@@ -39,7 +39,7 @@ from pnpmmse import (
 )
 from pnpmmse.cli import main as cli_main
 from pnpmmse.experiment import ExperimentConfig, make_problem, run_rate_sweep
-from pnpmmse.solvers import lasso_ista_grid, pnp_ista_grid
+from pnpmmse.solvers import _ista, _lasso_group, _pnp_group
 
 from oracles import grad_central_diff
 
@@ -97,11 +97,11 @@ def tuned_finals(shared_instances):
     pnp_scores, lasso_scores = [], []
     for problem, gamma in shared_instances:
         sigmas = np.geomspace(0.01, 0.37, 9)
-        traces = pnp_ista_grid(problem, prior, sigmas, gamma, 500, SNR_ONLY)
+        [traces] = _ista(problem, gamma, [_pnp_group(prior, sigmas, gamma, SNR_ONLY)], 500, False)
         pnp_scores.append(max(trace.snr_db[-1] for trace in traces))
         lam_scale = float(np.max(np.abs(problem.operator.adjoint(problem.y))))
         lams = np.geomspace(1e-4, 1.0, 15) * lam_scale
-        traces = lasso_ista_grid(problem, lams, gamma, 500, SNR_ONLY)
+        [traces] = _ista(problem, gamma, [_lasso_group(lams, gamma, SNR_ONLY)], 500, False)
         lasso_scores.append(max(trace.snr_db[-1] for trace in traces))
     return np.array(pnp_scores), np.array(lasso_scores)
 

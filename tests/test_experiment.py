@@ -39,7 +39,6 @@ from pnpmmse.experiment import (
 from pnpmmse.prior import BernoulliGaussianPrior, sample_signal
 from pnpmmse import cli, linear_model, solvers
 from pnpmmse.linear_model import MeasurementOperator
-from pnpmmse.solvers import lasso_ista_grid, pnp_ista_grid
 
 TINY = dict(
     seed=424242,
@@ -92,6 +91,15 @@ class TestConfig:
     def test_invalid_configs_rejected(self, changes):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(**changes).validate()
+
+    def test_highest_admitted_snr_keeps_the_noise_positive(self):
+        # m * 10**(snr/10) overflows here at m = 8, which used to give a noise-free problem
+        config = ExperimentConfig(n=16, measurement_rates=(0.5,), input_snr_db=3082.0)
+        config.validate()
+        problem = make_problem(config, 0, 0)
+        assert problem.m == 8 and problem.sigma_e > 0.0
+        energy = np.linalg.norm(problem.operator.forward(problem.x_true))
+        assert problem.sigma_e == pytest.approx(energy / math.sqrt(8) / 10.0**154.1, rel=1e-12)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError):
@@ -174,12 +182,16 @@ class TestBatchedGridSearch:
         lams = [rel * lam_scale for rel in config.lambda_grid]
         full = TraceOptions()
         with_objective = TraceOptions(objective=True, gradient=False, snr=True)
-        pnp_block = pnp_ista_grid(problem, prior, config.sigma_grid, gamma, config.max_iter, full)
+        [pnp_block] = solvers._ista(
+            problem, gamma, [solvers._pnp_group(prior, config.sigma_grid, gamma, full)], config.max_iter, False
+        )
         pnp_single = [
             pnp_ista(problem, MmseDenoiser(prior, s), gamma, config.max_iter, full)
             for s in config.sigma_grid
         ]
-        lasso_block = lasso_ista_grid(problem, lams, gamma, config.max_iter, with_objective)
+        [lasso_block] = solvers._ista(
+            problem, gamma, [solvers._lasso_group(lams, gamma, with_objective)], config.max_iter, False
+        )
         lasso_single = [
             lasso_ista(problem, lam, gamma, config.max_iter, with_objective) for lam in lams
         ]
@@ -413,6 +425,30 @@ class TestValidationSuite:
         report = run_validation_suite(tiny_config())
         assert report.passed
         assert all(c.status == "PASS" for c in report.checks)
+
+    def test_report_names_and_details_keep_their_shape(self):
+        value = r"\d\.\d{3}e[+-]\d{2}"
+        expected = {
+            "tweedie_identity": rf"max scaled residual {value} \(tol 1\.000e-09\)",
+            "prox_phi_minimum": r"\d+ perturbations at or below the center value",
+            "prox_grid_minimizer": rf"max grid-minimizer offset {value} \(grid step 1\.0e-04\)",
+            "derivative_finite_difference": rf"max \|fd - analytic\| {value} \(tol 1\.000e-06\)",
+            "derivative_variance_identity": rf"max identity gap {value} \(tol 1\.000e-08\)",
+            "inverse_round_trip": rf"max round-trip error {value} \(tol 1\.000e-09\)",
+            "jacobian_positivity": rf"min slope {value}, expansive max slope \d+\.\d{{3}}",
+            "marginal_normalization": rf"max \|integral - 1\| {value} \(tol 1\.000e-08\)",
+            "fidelity_gradient_fd": rf"max relative gradient gap {value} \(tol 1\.000e-05\)",
+            "regularizer_gradient_fd": rf"max relative gradient gap {value} \(tol 1\.000e-05\)",
+            "mm_sandwich": rf"max sandwich slack used -?{value}",
+            "pnp_monotonicity": rf"max objective increase -?{value}",
+            "soft_threshold_prox": rf"max offset from grid argmin {value} \(grid step 1\.0e-03\)",
+            "lipschitz_dense": rf"max relative eigenvalue gap {value} \(tol 1\.000e-04\)",
+            "gamp_decoupled": rf"max deviation from scalar denoiser {value} \(tol 1\.000e-06\)",
+        }
+        checks = run_validation_suite(tiny_config()).checks
+        assert [c.name for c in checks] == list(expected)
+        for check in checks:
+            assert re.fullmatch(expected[check.name], check.detail), (check.name, check.detail)
 
     def test_corrupted_tolerance_fails_loudly(self, monkeypatch):
         monkeypatch.setitem(DEFAULT_VALIDATION_TOLERANCES, "tweedie_identity", 1e-30)

@@ -233,3 +233,11 @@ class TestLevelRule:
         mean = posterior_mean(prior, 1.5e-154, Z)
         np.testing.assert_allclose(mean, Z, rtol=1e-15)
         np.testing.assert_array_equal(mean, posterior_moments(prior, 1.5e-154, Z)[0])
+
+    def test_largest_level_keeps_the_log_density_finite(self):
+        # 2*pi*(sigma_x**2 + sigma**2) overflows here; both components are N(0, sigma**2)
+        # to double precision, whose negative log density at |z| << sigma is log(sigma*sqrt(2*pi))
+        prior, sigma = BernoulliGaussianPrior(0.05), 1.3e154
+        expected = math.log(sigma) + 0.5 * math.log(2.0 * math.pi)
+        np.testing.assert_allclose(neg_log_marginal(prior, sigma, Z), expected, rtol=1e-14)
+        np.testing.assert_allclose(marginal_density(prior, sigma, Z), math.exp(-expected), rtol=1e-12)

@@ -203,7 +203,8 @@ class TestPnpIsta:
         monkeypatch.setattr(prior_module, "neg_log_marginal", refuse)
         monkeypatch.setattr(denoiser_module, "neg_log_marginal", refuse)
         gamma = 0.99 / problem.operator.lipschitz.value
-        traces = solvers.pnp_ista_grid(problem, prior, (0.05, 0.2), gamma, max_iter=20)
+        group = solvers._pnp_group(prior, (0.05, 0.2), gamma, TraceOptions())
+        [traces] = solvers._ista(problem, gamma, [group], 20, False)
         assert all(np.all(np.isfinite(trace.objective)) for trace in traces)
 
     def test_trace_interval_and_density(self):
