@@ -734,7 +734,7 @@ def run_validation_suite(config: ExperimentConfig) -> ValidationReport:
     def check_lipschitz(tol):
         rng_l = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(103,)))
         worst = 0.0
-        # the shapes cover m < n, m > n and m = n of the power iteration's one loop
+        # the shapes cover m < n, m > n and m = n, and the spectrum with and without a kept Gram matrix
         for m, n in [(20, 30), (30, 20), (25, 25), (10, 30)]:
             operator = generate_operator(m, n, rng_l)
             estimate = operator.lipschitz.value

@@ -12,6 +12,7 @@ __all__ = [
     "MeasurementOperator",
     "ProblemInstance",
     "LipschitzEstimate",
+    "Spectrum",
     "generate_operator",
     "calibrate_noise_sigma",
     "build_instance",
@@ -30,10 +31,11 @@ class MeasurementOperator:
     """Dense real measurement matrix; both m <= n and m > n are allowed.
 
     ``matrix`` is read-only, so neither a write through it nor a write to
-    the caller's array can leave the values kept from it (``lipschitz`` and
-    ``gram``) stale.  A writeable input is copied; a read-only input is kept
-    as is, uncopied, and the caller promises not to change it by any other
-    route.  :func:`generate_operator` hands over its draw read-only.
+    the caller's array can leave the values kept from it (``lipschitz``,
+    ``gram`` and ``spectrum``) stale.  A writeable input is copied; a
+    read-only input is kept as is, uncopied, and the caller promises not
+    to change it by any other route.  :func:`generate_operator` hands over
+    its draw read-only.
     """
 
     matrix: np.ndarray
@@ -54,7 +56,7 @@ class MeasurementOperator:
         """:func:`lipschitz_constant` of this operator, computed on first use and kept.
 
         The solvers read their step-size bound from here, so one operator
-        runs one power iteration however many solver calls share it.
+        estimates it once however many solver calls share it.
         """
         return lipschitz_constant(self)
 
@@ -64,6 +66,23 @@ class MeasurementOperator:
         gram = self.matrix.T @ self.matrix
         gram.flags.writeable = False
         return gram
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """Eigendecomposition of ``H^T H``, read-only, computed on first use and kept.
+
+        The one ``np.linalg.eigh`` per operator: the step size
+        (:func:`lipschitz_constant`) and message passing both read it.  It
+        decomposes the kept :attr:`gram` when ``2m > n``, where
+        :meth:`normal` keeps that anyway; otherwise it forms ``H^T H`` for
+        the call and keeps none.
+        """
+        gram = self.gram if 2 * self.m > self.n else self.matrix.T @ self.matrix
+        values, vectors = np.linalg.eigh(gram)
+        values = np.clip(values, 0.0, None)
+        values.flags.writeable = False
+        vectors.flags.writeable = False
+        return Spectrum(values, vectors)
 
     def normal(self, x: np.ndarray) -> np.ndarray:
         """``H^T H x`` for a vector, or ``X H^T H`` for a ``K x n`` block, one run per row.
@@ -195,6 +214,17 @@ def _check_signal(problem: ProblemInstance, x) -> np.ndarray:
     return x
 
 
+class Spectrum(NamedTuple):
+    """``H^T H = V diag(values) V^T``, as :attr:`MeasurementOperator.spectrum` keeps it.
+
+    ``values`` ascend, each rounded below zero clipped to 0; ``vectors`` is
+    the orthonormal ``V``, one eigenvector per column.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+
 class LipschitzEstimate(NamedTuple):
     value: float
     converged: bool
@@ -204,41 +234,67 @@ class LipschitzEstimate(NamedTuple):
 def lipschitz_constant(
     operator: MeasurementOperator, tol: float = 1e-10, max_iter: int = 2000
 ) -> LipschitzEstimate:
-    """Largest eigenvalue of ``H^T H`` by power iteration.
+    """Largest eigenvalue of ``H^T H`` as the power iteration estimates it.
 
-    The Rayleigh quotient never exceeds the true value, so the estimate
-    approaches the gradient Lipschitz constant of the least-squares term
-    from below.  The start vector is drawn from a fixed seed, keeping the
-    estimate deterministic for a given matrix.  If the relative change has
-    not dropped below ``tol`` within ``max_iter`` iterations the last
-    estimate is returned with ``converged=False``.  It steps ``u = H v``
-    through ``S = H H^T``, formed here and not kept: the estimate is
-    ``|u|^2``, the norm ``|H^T H v| = sqrt(u^T S u)``, and ``u <- S u /
-    norm``.  That is the sequence of estimates of the power iteration on
-    ``H^T H`` in n-space, at one m x m product per step.
+    The iteration steps a unit vector ``v <- H^T H v / |H^T H v|`` and
+    estimates the Rayleigh quotient ``v^T H^T H v``, which never exceeds
+    the true value, so the estimate approaches the gradient Lipschitz
+    constant of the least-squares term from below.  The start vector is
+    drawn from a fixed seed, keeping the estimate deterministic for a given
+    matrix; a start with ``|H^T H v| = 0`` lies in the null space and is
+    drawn again from the same stream, at the cost of one iteration.  If the
+    relative change has not dropped below ``tol`` within ``max_iter``
+    iterations the last estimate is returned with ``converged=False``.
+
+    No iterate is formed.  With the operator's kept spectrum ``H^T H =
+    V diag(lam) V^T``, ``c = V^T v`` and ``w = lam / max(lam)``,
+    the k-th estimate from a start is ``max(lam) * sum(w**(2k-1) c**2) /
+    sum(w**(2k-2) c**2)``: each step costs a few passes over ``n`` numbers
+    instead of a matrix product, and the estimates, the stop rule, the
+    iteration count and the flag are the iteration's own.
     """
-    h = operator.matrix
-    if not np.any(h):
+    if not np.any(operator.matrix):
         raise ValueError("operator must be nonzero")
-    s = h @ h.T
+    values, vectors = operator.spectrum
+    top = float(values[-1])
+    if top == 0.0:
+        # H^T H rounds to zero, so every start lies in the null space and is drawn again
+        return LipschitzEstimate(0.0, False, max_iter)
+    ratio = values / top
+    ratio_sq = ratio * ratio
     rng = np.random.default_rng(0)
-    u, estimate = None, 0.0
+    # c**2 * w**(2k-2), the start's squared coordinates weighted for the k-th step
+    mass, estimate = None, 0.0
     for it in range(1, max_iter + 1):
-        if u is None:
+        if mass is None:
             v = rng.standard_normal(operator.n)
             v /= np.linalg.norm(v)
-            u = h @ v
-        w = s @ u
-        new_estimate, norm_w = float(u @ u), np.sqrt(max(u @ w, 0.0))
-        if norm_w == 0.0:
-            # v landed exactly in the null space; restart deterministically.
-            u = None
-            continue
-        u = w / norm_w
+            mass = np.square(v @ vectors)
+            if (values * values) @ mass == 0.0:
+                # |H^T H v|^2 is zero: v landed in the null space; restart deterministically.
+                mass = None
+                continue
+        new_estimate = top * float(ratio @ mass) / float(np.sum(mass))
+        mass *= ratio_sq
         if it > 1 and abs(new_estimate - estimate) <= tol * abs(new_estimate):
             return LipschitzEstimate(new_estimate, True, it)
         estimate = new_estimate
     return LipschitzEstimate(estimate, False, max_iter)
+
+
+def _reference_energy(x_ref: np.ndarray) -> float:
+    """``|x_ref|^2``, the numerator of every SNR against ``x_ref``; a zero reference has none."""
+    energy = float(x_ref @ x_ref)
+    if energy == 0.0:
+        raise ValueError("reference signal must be nonzero")
+    return energy
+
+
+def _capped_snr_db(ref_energy, err_energy):
+    """``10 log10(ref_energy / err_energy)``, capped at 300 dB; a zero error energy gives the cap."""
+    # a perfect reconstruction divides by zero, and the cap turns its inf into 300
+    with np.errstate(divide="ignore"):
+        return np.minimum(10.0 * np.log10(ref_energy / err_energy), SNR_CAP_DB)
 
 
 def snr_db(x_hat: np.ndarray, x_ref: np.ndarray) -> float | np.ndarray:
@@ -251,16 +307,12 @@ def snr_db(x_hat: np.ndarray, x_ref: np.ndarray) -> float | np.ndarray:
     x_ref = np.asarray(x_ref, dtype=float)
     if x_hat.shape[:1] != x_ref.shape or x_hat.ndim > 2:
         raise ValueError("x_hat must have x_ref's shape, or be a block of such columns")
-    ref_energy = float(x_ref @ x_ref)
-    if ref_energy == 0.0:
-        raise ValueError("reference signal must be nonzero")
+    ref_energy = _reference_energy(x_ref)
     if x_hat.ndim == 1:
         err = x_hat - x_ref
         err_energy = err @ err
     else:
         err = x_hat - x_ref[:, None]
         err_energy = np.einsum("ij,ij->j", err, err)
-    # a perfect reconstruction divides by zero, and the cap turns its inf into 300
-    with np.errstate(divide="ignore"):
-        snr = np.minimum(10.0 * np.log10(ref_energy / err_energy), SNR_CAP_DB)
+    snr = _capped_snr_db(ref_energy, err_energy)
     return float(snr) if x_hat.ndim == 1 else snr

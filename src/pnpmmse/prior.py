@@ -101,6 +101,10 @@ def _usable_level(sigma) -> bool:
 
 # Above this log odds, e**gap overflows: log(DBL_MAX) is about 709.78.
 _EXP_LIMIT = 709.0
+# Above this ratio of sigma**2 to sigma_x**2, 1/sigma**2 - 1/(sigma_x**2 + sigma**2) has lost half its digits.
+_CANCELLING_RATIO = 2.0**26
+# Log odds are clamped up to this before exp: 1 + e**-700 is exactly 1, as is 1 + e**gap below it.
+_EXP_FLOOR = -700.0
 
 
 class _Levels:
@@ -132,7 +136,15 @@ class _Levels:
         self.variance = np.asarray(sigma, dtype=float) ** 2
         self.slab_variance = prior.sigma_x**2 + self.variance
         self.gain = prior.sigma_x**2 / self.slab_variance
-        self.curvature = 1.0 / self.variance - 1.0 / self.slab_variance
+        # 1/sigma**2 - 1/(sigma_x**2 + sigma**2) cancels as sigma outgrows sigma_x, all of it
+        # from about 1e8 * sigma_x, where invert's Newton steps stall.  Its algebraic equal
+        # gain/sigma**2 takes over only there, so levels near sigma_x (all of message
+        # passing's, on the benchmark) keep their arithmetic bit for bit.
+        self.curvature = np.where(
+            self.variance > _CANCELLING_RATIO * prior.sigma_x**2,
+            self.gain / self.variance,
+            1.0 / self.variance - 1.0 / self.slab_variance,
+        )
         with np.errstate(over="ignore"):
             log_norm = 0.5 * np.log(2.0 * np.pi * self.slab_variance)
         # the product overflows once sigma is above about 5.3e153; the logs' sum does not
@@ -166,7 +178,9 @@ class _Levels:
 
     def spread_into(self, z, out):
         """``1 + e**gap`` at ``z`` into ``out``: exactly 1 without a spike, inf where ``e**gap`` overflows."""
-        np.exp(self._gap_into(z, out), out=out)
+        # 1 + e**gap rounds to 1 once gap is below about -37; the clamp keeps exp off its slow underflow path
+        np.maximum(self._gap_into(z, out), _EXP_FLOOR, out=out)
+        np.exp(out, out=out)
         out += 1.0
         return out
 

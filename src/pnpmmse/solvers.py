@@ -25,6 +25,8 @@ from .errors import NumericalFailureError
 from .linear_model import (
     MeasurementOperator,
     ProblemInstance,
+    _capped_snr_db,
+    _reference_energy,
     data_fidelity,
     grad_data_fidelity,
     snr_db,
@@ -202,6 +204,9 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
     rows = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     recs = [_Recorder(group.trace) for group in groups]
     x = np.zeros((edges[-1], problem.n))
+    # each record's SNR reads x_true's energy once per block and forms its errors in one buffer
+    err_block = np.empty_like(x)
+    ref_energy = _reference_energy(problem.x_true) if any(group.trace.snr for group in groups) else None
 
     def gradient(x):
         g = operator.normal(x)
@@ -237,7 +242,8 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
                 _require_finite(grad_norm, t, "gradient norm")
                 rec.grad_norm.append(grad_norm)
             if opts.snr:
-                snr = snr_db(xr.T, problem.x_true)
+                err = np.subtract(xr, problem.x_true, out=err_block[r])
+                snr = _capped_snr_db(ref_energy, np.einsum("ij,ij->i", err, err))
                 _require_finite(snr, t, "SNR")
                 rec.snr.append(snr)
 
@@ -402,9 +408,9 @@ def gamp(
 
     Two moment-matched Gaussian blocks exchange extrinsic messages: the
     scalar MMSE denoiser handles the prior, and an LMMSE block handles the
-    measurements through a single eigendecomposition per call of the
-    operator's kept Gram matrix ``H^T H``, the matrix ``op.normal`` steps
-    through when ``2m > n``, so the two share one formation.
+    measurements in the eigenbasis of ``H^T H``, read from the operator's
+    kept ``spectrum``: the decomposition the step size was estimated from,
+    so a trial decomposes its operator once.
     On a decoupled operator (``H = I``) the likelihood-side extrinsic
     message is exactly the raw measurement channel, so the converged
     estimate reproduces the scalar denoiser applied to ``y``.  ``damping``
@@ -429,8 +435,7 @@ def gamp(
 
     h = problem.operator.matrix
     se2 = problem.sigma_e**2
-    eigvals, basis = np.linalg.eigh(problem.operator.gram)
-    eigvals = np.clip(eigvals, 0.0, None)
+    eigvals, basis = problem.operator.spectrum
     data_modes = basis.T @ (h.T @ problem.y)
 
     # x_hat is the denoiser block's posterior mean; r_prior and prec_prior

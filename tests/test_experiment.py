@@ -283,10 +283,10 @@ class TestBatchedGridSearch:
             assert block_products == {"forward": 0, "adjoint": 0, "gram": runs}
         else:
             assert block_products == {"forward": runs, "adjoint": runs, "gram": 0}
-        # the ISTA block and message passing share one Gram matrix; with m < n
-        # the step size's power iteration steps through H H^T and forms none
-        assert len(grams_formed) == int(gram_route or "gamp" in config.solvers)
-        assert decomposed == [CountedGram] * ("gamp" in config.solvers)
+        # the step size and message passing read one decomposition of H^T H; it
+        # decomposes the kept Gram matrix on the Gram route and keeps none otherwise
+        assert len(grams_formed) == int(gram_route)
+        assert decomposed == [CountedGram if gram_route else np.ndarray]
         assert single_runs == []
         assert outcome.traces["pnp"].grad_norm is None
         return outcome

@@ -16,6 +16,7 @@ from pnpmmse import (
     sample_signal,
     snr_db,
 )
+from pnpmmse.experiment import ExperimentConfig, make_problem
 
 from oracles import dense_largest_eigenvalue, grad_central_diff, n_space_power_iteration
 
@@ -49,6 +50,19 @@ class TestMeasurementOperator:
             op.matrix[0, 0] = 5.0
         with pytest.raises(ValueError):
             op.gram[0, 0] = 5.0
+
+    @pytest.mark.parametrize("m,n", [(3, 8), (6, 4)])
+    def test_spectrum_is_read_only_and_keeps_the_gram_only_where_normal_does(self, m, n):
+        op = generate_operator(m, n, np.random.default_rng(0))
+        values, vectors = op.spectrum
+        with pytest.raises(ValueError):
+            values[0] = 5.0
+        with pytest.raises(ValueError):
+            vectors[0, 0] = 5.0
+        assert op.spectrum is op.spectrum
+        assert np.all(values >= 0.0) and np.all(np.diff(values) >= 0.0)
+        np.testing.assert_allclose((vectors * values) @ vectors.T, op.matrix.T @ op.matrix, atol=1e-12)
+        assert ("gram" in op.__dict__) == (2 * m > n)
 
     def test_callers_array_stays_writeable(self):
         n = 5
@@ -227,6 +241,42 @@ class TestLipschitz:
         assert (estimate.converged, estimate.iterations) == (converged, iterations)
         assert converged == (max_iter == 2000)
         assert abs(estimate.value - value) <= 1e-13 * value
+
+    def test_matches_the_n_space_iteration_when_capped_at_full_scale(self):
+        # the converge command at n=1024, rate 0.8, alpha 0.2 and seed 8001 runs all
+        # 2000 iterations without converging
+        config = ExperimentConfig(seed=8001, n=1024, measurement_rates=(0.8,), alpha=0.2, trials=1)
+        op = make_problem(config, 0, 0).operator
+        value, converged, iterations = n_space_power_iteration(op)
+        estimate = lipschitz_constant(op)
+        assert (estimate.converged, estimate.iterations) == (converged, iterations) == (False, 2000)
+        assert abs(estimate.value - value) <= 1e-13 * value
+
+    def test_start_in_the_null_space_restarts(self):
+        # H = B (I - v0 v0^T) for the seeded start v0, scaled so that the square of
+        # |H^T H v0|, rounding residue alone, underflows to exactly zero
+        n = 40
+        v0 = np.random.default_rng(0).standard_normal(n)
+        v0 /= np.linalg.norm(v0)
+        b = np.random.default_rng(5).standard_normal((30, n))
+        op = MeasurementOperator(1e-76 * (b @ (np.eye(n) - np.outer(v0, v0))))
+        assert np.linalg.norm(op.matrix.T @ op.matrix @ v0) == 0.0
+        value, converged, iterations = n_space_power_iteration(op)
+        estimate = lipschitz_constant(op)
+        assert (estimate.converged, estimate.iterations) == (converged, iterations)
+        assert converged
+        assert abs(estimate.value - value) <= 1e-13 * value
+        assert estimate.value == pytest.approx(dense_largest_eigenvalue(op), rel=1e-4)
+
+    def test_gram_rounding_to_zero_restarts_every_step(self):
+        # a nonzero H whose H^T H underflows: every start lies in the null space
+        op = MeasurementOperator(np.full((3, 4), 1e-170))
+        assert lipschitz_constant(op) == n_space_power_iteration(op) == (0.0, False, 2000)
+
+    def test_value_is_a_python_float(self):
+        # a numpy float would warn where gamma * L overflows
+        estimate = lipschitz_constant(generate_operator(20, 30, np.random.default_rng(3)))
+        assert type(estimate.value) is float
 
 
 class TestSnrDb:

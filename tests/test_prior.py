@@ -19,7 +19,7 @@ from pnpmmse import (
     sample_signal,
 )
 from pnpmmse import solvers
-from pnpmmse.prior import _logistic
+from pnpmmse.prior import _Levels, _logistic
 
 from oracles import central_diff, gaussian_pdf, quad_marginal_density
 
@@ -211,6 +211,19 @@ class TestLogistic:
         assert _logistic(-np.inf) == 0.0
         assert _logistic(0.0) == 0.5
         assert _logistic(np.inf) == 1.0
+
+
+class TestSpread:
+    def test_clamped_log_odds_leave_every_bit(self, monkeypatch):
+        # below about -37, 1 + e**gap rounds to exactly 1, so clamping the log odds
+        # at -700 before exp changes no bit; -inf still maps to 1 and nan to nan
+        gap = np.concatenate([np.linspace(-800.0, 40.0, 840_001), [np.inf, -np.inf, np.nan, -1e308]])
+        levels = _Levels(BernoulliGaussianPrior(0.05), 0.5)
+        monkeypatch.setattr(levels, "_gap_into", lambda z, out: np.copyto(out, gap) or out)
+        with np.errstate(over="ignore"):
+            spread = levels.spread_into(gap, np.empty_like(gap))
+            unclamped = 1.0 + np.exp(gap)
+        assert spread.tobytes() == unclamped.tobytes()
 
 
 class TestLevelRule:

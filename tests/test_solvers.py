@@ -511,6 +511,28 @@ class TestGamp:
         assert len(trace.snr_db) == trace.iterations_run + 1
         assert not trace.diverged
 
+    def test_reads_the_operators_kept_spectrum(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        prior, problem = make_problem(rng, n=32, m=26)
+        expected = gamp(problem, prior, max_iter=25)
+        read = []
+
+        class Read(np.ndarray):
+            def __add__(self, other):
+                read.append("values")
+                return np.asarray(self) + other
+
+            def __matmul__(self, other):
+                read.append("vectors")
+                return np.asarray(self) @ other
+
+        values, vectors = problem.operator.spectrum
+        problem.operator.__dict__["spectrum"] = (values.view(Read), vectors.view(Read))
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        trace = gamp(problem, prior, max_iter=25)
+        assert {"values", "vectors"} <= set(read)
+        np.testing.assert_array_equal(trace.final_iterate, expected.final_iterate)
+
     @staticmethod
     def sweep_low_problem(program_seed):
         """The rate-0.3 cell of the benchmark's sweep-low command at ``program_seed``."""
