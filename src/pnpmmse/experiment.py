@@ -150,8 +150,8 @@ class ExperimentConfig:
             raise ConfigurationError("measurement_rates must be nonempty")
         if any(not 0.0 < r <= 1.0 for r in self.measurement_rates):
             raise ConfigurationError("measurement rates must lie in (0, 1]")
-        if list(self.measurement_rates) != sorted(self.measurement_rates):
-            raise ConfigurationError("measurement rates must be sorted ascending")
+        if any(lo >= hi for lo, hi in zip(self.measurement_rates, self.measurement_rates[1:])):
+            raise ConfigurationError("measurement rates must be strictly increasing")
         if not self.solvers:
             raise ConfigurationError("at least one solver must be enabled")
         unknown = set(self.solvers) - set(KNOWN_SOLVERS)
@@ -261,7 +261,7 @@ class TrialOutcome:
 
 def _snr_trace(interval: int, objective: bool = False) -> TraceOptions:
     """Trace the SNR, and the objective if asked; no CSV reads a gradient norm."""
-    return TraceOptions(objective=objective, gradient=False, snr=True, interval=interval)
+    return TraceOptions(objective=objective, gradient=False, interval=interval)
 
 
 def _best_final_snr(grid, traces):
@@ -396,21 +396,22 @@ def _selection_rows(config: ExperimentConfig, outcomes: list[TrialOutcome]) -> l
     return rows
 
 
-def run_convergence_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict[str, Path]:
+def run_convergence_experiment(config: ExperimentConfig) -> dict[str, Path]:
     """Per-iteration normalized cost and SNR at a single measurement rate.
 
     For each trial the PnP denoiser level and the LASSO weight are chosen
     by grid search maximizing that trial's final SNR.  The grids run as one
     ISTA block that also traces the objective of every denoiser level, so
     the cost trace is the winning level's run in that block.  Emits
-    ``convergence_cost.csv``, ``convergence_snr.csv``, ``selections.csv``.
+    ``convergence_cost.csv``, ``convergence_snr.csv``, ``selections.csv``
+    into ``config.output_dir``.
     """
     config.validate()
     if "pnp" not in config.solvers:
         raise ConfigurationError("the convergence experiment requires the pnp solver")
     if len(config.measurement_rates) != 1:
         raise ConfigurationError("the convergence experiment uses a single measurement rate")
-    out = make_output_dir(out_dir if out_dir is not None else config.output_dir)
+    out = make_output_dir(config.output_dir)
 
     outcomes = [o for o in _run_trials(config, [0], pnp_objective=True) if o.error is None]
 
@@ -439,18 +440,19 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir: str | Path | N
     return paths
 
 
-def run_rate_sweep(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict[str, Path]:
+def run_rate_sweep(config: ExperimentConfig) -> dict[str, Path]:
     """Final SNR of every enabled solver across measurement rates.
 
     All solvers within a (rate, trial) cell consume the identical problem
     realization.  A rate at which every trial failed has no row to write
     and raises :class:`NumericalFailureError`, even within the failure
-    budget.  Emits ``rate_sweep.csv`` and ``selections.csv``.
+    budget.  Emits ``rate_sweep.csv`` and ``selections.csv`` into
+    ``config.output_dir``.
     """
     config.validate()
     if len(config.measurement_rates) < 2:
         raise ConfigurationError("the rate sweep needs at least two measurement rates")
-    out = make_output_dir(out_dir if out_dir is not None else config.output_dir)
+    out = make_output_dir(config.output_dir)
 
     outcomes = _run_trials(config, range(len(config.measurement_rates)), pnp_objective=False)
     ok = [o for o in outcomes if o.error is None]
@@ -712,7 +714,7 @@ def run_validation_suite(config: ExperimentConfig) -> ValidationReport:
             MmseDenoiser(prior, 0.3),
             gamma,
             max_iter=150,
-            trace=TraceOptions(objective=True, gradient=False, snr=False),
+            trace=TraceOptions(objective=True, gradient=False),
         )
         diffs = np.diff(trace.objective)
         worst = float(np.max(diffs)) if len(diffs) else 0.0

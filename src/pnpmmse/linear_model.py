@@ -24,6 +24,10 @@ __all__ = [
 
 # Sentinel for a perfect reconstruction; keeps SNR traces finite.
 SNR_CAP_DB = 300.0
+# The power iteration's stop rule: a relative change of its estimate of at
+# most POWER_ITERATION_TOL, or POWER_ITERATION_MAX_ITER iterations.
+POWER_ITERATION_TOL = 1e-10
+POWER_ITERATION_MAX_ITER = 2000
 
 
 @dataclass(frozen=True)
@@ -173,22 +177,10 @@ def calibrate_noise_sigma(
 
 
 def build_instance(
-    operator: MeasurementOperator,
-    x_true: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    input_snr_db: float | None = None,
-    sigma_e: float | None = None,
+    operator: MeasurementOperator, x_true: np.ndarray, rng: np.random.Generator, *, input_snr_db: float
 ) -> ProblemInstance:
-    """Sample a noise realization and assemble the measurements.
-
-    Exactly one of ``input_snr_db`` (noise calibrated to that SNR) or
-    ``sigma_e`` (noise deviation given directly, zero allowed) must be set.
-    """
-    if (input_snr_db is None) == (sigma_e is None):
-        raise ValueError("specify exactly one of input_snr_db or sigma_e")
-    if sigma_e is None:
-        sigma_e = calibrate_noise_sigma(operator, x_true, input_snr_db)
+    """Sample a noise realization calibrated to ``input_snr_db`` and assemble the measurements."""
+    sigma_e = calibrate_noise_sigma(operator, x_true, input_snr_db)
     noise = sigma_e * rng.standard_normal(operator.m)
     y = operator.forward(x_true) + noise
     return ProblemInstance(operator=operator, x_true=np.asarray(x_true, float), y=y, sigma_e=float(sigma_e))
@@ -231,9 +223,7 @@ class LipschitzEstimate(NamedTuple):
     iterations: int
 
 
-def lipschitz_constant(
-    operator: MeasurementOperator, tol: float = 1e-10, max_iter: int = 2000
-) -> LipschitzEstimate:
+def lipschitz_constant(operator: MeasurementOperator) -> LipschitzEstimate:
     """Largest eigenvalue of ``H^T H`` as the power iteration estimates it.
 
     The iteration steps a unit vector ``v <- H^T H v / |H^T H v|`` and
@@ -243,8 +233,9 @@ def lipschitz_constant(
     drawn from a fixed seed, keeping the estimate deterministic for a given
     matrix; a start with ``|H^T H v| = 0`` lies in the null space and is
     drawn again from the same stream, at the cost of one iteration.  If the
-    relative change has not dropped below ``tol`` within ``max_iter``
-    iterations the last estimate is returned with ``converged=False``.
+    relative change has not dropped to :data:`POWER_ITERATION_TOL` within
+    :data:`POWER_ITERATION_MAX_ITER` iterations the last estimate is
+    returned with ``converged=False``.
 
     No iterate is formed.  With the operator's kept spectrum ``H^T H =
     V diag(lam) V^T``, ``c = V^T v`` and ``w = lam / max(lam)``,
@@ -259,13 +250,13 @@ def lipschitz_constant(
     top = float(values[-1])
     if top == 0.0:
         # H^T H rounds to zero, so every start lies in the null space and is drawn again
-        return LipschitzEstimate(0.0, False, max_iter)
+        return LipschitzEstimate(0.0, False, POWER_ITERATION_MAX_ITER)
     ratio = values / top
     ratio_sq = ratio * ratio
     rng = np.random.default_rng(0)
     # c**2 * w**(2k-2), the start's squared coordinates weighted for the k-th step
     mass, estimate = None, 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, POWER_ITERATION_MAX_ITER + 1):
         if mass is None:
             v = rng.standard_normal(operator.n)
             v /= np.linalg.norm(v)
@@ -276,10 +267,10 @@ def lipschitz_constant(
                 continue
         new_estimate = top * float(ratio @ mass) / float(np.sum(mass))
         mass *= ratio_sq
-        if it > 1 and abs(new_estimate - estimate) <= tol * abs(new_estimate):
+        if it > 1 and abs(new_estimate - estimate) <= POWER_ITERATION_TOL * abs(new_estimate):
             return LipschitzEstimate(new_estimate, True, it)
         estimate = new_estimate
-    return LipschitzEstimate(estimate, False, max_iter)
+    return LipschitzEstimate(estimate, False, POWER_ITERATION_MAX_ITER)
 
 
 def _reference_energy(x_ref: np.ndarray) -> float:
@@ -297,22 +288,11 @@ def _capped_snr_db(ref_energy, err_energy):
         return np.minimum(10.0 * np.log10(ref_energy / err_energy), SNR_CAP_DB)
 
 
-def snr_db(x_hat: np.ndarray, x_ref: np.ndarray) -> float | np.ndarray:
-    """Reconstruction SNR ``10 log10(|x_ref|^2 / |x_hat - x_ref|^2)``, capped at 300 dB.
-
-    ``x_hat`` is one reconstruction, giving a float, or an ``n x K`` block
-    of them, one per column, giving an array of ``K`` values.
-    """
+def snr_db(x_hat: np.ndarray, x_ref: np.ndarray) -> float:
+    """Reconstruction SNR ``10 log10(|x_ref|^2 / |x_hat - x_ref|^2)`` of one estimate, capped at 300 dB."""
     x_hat = np.asarray(x_hat, dtype=float)
     x_ref = np.asarray(x_ref, dtype=float)
-    if x_hat.shape[:1] != x_ref.shape or x_hat.ndim > 2:
-        raise ValueError("x_hat must have x_ref's shape, or be a block of such columns")
-    ref_energy = _reference_energy(x_ref)
-    if x_hat.ndim == 1:
-        err = x_hat - x_ref
-        err_energy = err @ err
-    else:
-        err = x_hat - x_ref[:, None]
-        err_energy = np.einsum("ij,ij->j", err, err)
-    snr = _capped_snr_db(ref_energy, err_energy)
-    return float(snr) if x_hat.ndim == 1 else snr
+    if x_hat.ndim != 1 or x_hat.shape != x_ref.shape:
+        raise ValueError("x_hat and x_ref must be vectors of one length")
+    err = x_hat - x_ref
+    return float(_capped_snr_db(_reference_energy(x_ref), err @ err))

@@ -56,6 +56,7 @@ DIVERGENCE_PATIENCE = 10
 class TraceOptions:
     """What to record along a run and how often.
 
+    The SNR against the problem's ``x_true`` is recorded at every record.
     Objective and gradient tracing evaluate the regularizer at every
     record; for PnP-ISTA that is a few elementwise passes over the block,
     reading the log density's one transcendental term from what the
@@ -65,7 +66,6 @@ class TraceOptions:
 
     objective: bool = True
     gradient: bool = True
-    snr: bool = True
     interval: int = 1
 
     def __post_init__(self):
@@ -131,7 +131,7 @@ class _Recorder:
             iterations_run=t,
             objective=series(self.objective, opts.objective),
             grad_norm=series(self.grad_norm, opts.gradient),
-            snr_db=series(self.snr, opts.snr),
+            snr_db=series(self.snr, True),
             stop_reason=stop_reason,
         )
 
@@ -206,7 +206,7 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
     x = np.zeros((edges[-1], problem.n))
     # each record's SNR reads x_true's energy once per block and forms its errors in one buffer
     err_block = np.empty_like(x)
-    ref_energy = _reference_energy(problem.x_true) if any(group.trace.snr for group in groups) else None
+    ref_energy = _reference_energy(problem.x_true)
 
     def gradient(x):
         g = operator.normal(x)
@@ -241,11 +241,10 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
                 grad_norm = np.linalg.norm(g[r] + h_grad, axis=1)
                 _require_finite(grad_norm, t, "gradient norm")
                 rec.grad_norm.append(grad_norm)
-            if opts.snr:
-                err = np.subtract(xr, problem.x_true, out=err_block[r])
-                snr = _capped_snr_db(ref_energy, np.einsum("ij,ij->i", err, err))
-                _require_finite(snr, t, "SNR")
-                rec.snr.append(snr)
+            err = np.subtract(xr, problem.x_true, out=err_block[r])
+            snr = _capped_snr_db(ref_energy, np.einsum("ij,ij->i", err, err))
+            _require_finite(snr, t, "SNR")
+            rec.snr.append(snr)
 
     # A step too large for the problem, or measurements too large for their
     # energy, overflow in here, and each value they make non-finite is
@@ -376,7 +375,7 @@ def lasso_ista(
     lam: float,
     gamma: float,
     max_iter: int = 500,
-    trace: TraceOptions = TraceOptions(objective=True, gradient=False, snr=True),
+    trace: TraceOptions = TraceOptions(objective=True, gradient=False),
     *,
     allow_large_step: bool = False,
 ) -> SolverTrace:
@@ -402,7 +401,7 @@ def gamp(
     prior: BernoulliGaussianPrior,
     max_iter: int = 500,
     damping: float = 0.9,
-    trace: TraceOptions = TraceOptions(objective=False, gradient=False, snr=True),
+    trace: TraceOptions = TraceOptions(objective=False, gradient=False),
 ) -> SolverTrace:
     """MMSE message passing with the true statistical parameters.
 
@@ -446,8 +445,7 @@ def gamp(
 
     rec = _Recorder(trace)
     rec.iterations.append(0)
-    if trace.snr:
-        rec.snr.append(snr_db(x_hat, problem.x_true))
+    rec.snr.append(snr_db(x_hat, problem.x_true))
 
     best_snr = -np.inf
     below_peak = 0
@@ -484,17 +482,16 @@ def gamp(
         settled = scale > 0.0 and float(np.max(np.abs(x_hat - x_prev))) <= _GAMP_FIXED_POINT_RTOL * scale
         if settled or rec.due(t, max_iter):
             rec.iterations.append(t)
-            if trace.snr:
-                # an estimate far from the signal overflows the error energy: -inf dB, rejected here
-                with np.errstate(over="ignore"):
-                    current = snr_db(x_hat, problem.x_true)
-                _require_finite(current, t, "SNR")
-                rec.snr.append(current)
-                best_snr = max(best_snr, current)
-                below_peak = below_peak + 1 if current < best_snr - DIVERGENCE_DROP_DB else 0
-                if below_peak >= DIVERGENCE_PATIENCE:
-                    stop_reason = "diverged"
-                    break
+            # an estimate far from the signal overflows the error energy: -inf dB, rejected here
+            with np.errstate(over="ignore"):
+                current = snr_db(x_hat, problem.x_true)
+            _require_finite(current, t, "SNR")
+            rec.snr.append(current)
+            best_snr = max(best_snr, current)
+            below_peak = below_peak + 1 if current < best_snr - DIVERGENCE_DROP_DB else 0
+            if below_peak >= DIVERGENCE_PATIENCE:
+                stop_reason = "diverged"
+                break
         if settled:
             stop_reason = "fixed_point"
             break

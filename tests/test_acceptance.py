@@ -15,6 +15,7 @@ ordering it asks for does hold for sparser signals and is demonstrated by
 the passing companion test at the package default of 5% nonzeros.
 """
 
+import dataclasses
 import math
 import time
 
@@ -54,7 +55,7 @@ DENOISER_SETTINGS = [
 SHARED_SETTING = dict(
     seed=20240817, n=1024, measurement_rates=(0.8,), alpha=0.2, input_snr_db=20.0, trials=20
 )
-SNR_ONLY = TraceOptions(objective=False, gradient=False, snr=True)
+SNR_ONLY = TraceOptions(objective=False, gradient=False)
 
 
 def report(num, name, detail):
@@ -118,7 +119,7 @@ def sweep_rows(tmp_path_factory):
     )
     out = tmp_path_factory.mktemp("sweep")
     start = time.time()
-    run_rate_sweep(config, out)
+    run_rate_sweep(dataclasses.replace(config, output_dir=str(out)))
     elapsed = time.time() - start
     rows = {}
     lines = (out / "rate_sweep.csv").read_text().splitlines()[1:]

@@ -86,6 +86,8 @@ class TestConfig:
             # levels whose square is not a normal float
             dict(sigma_grid=(0.1, 1e-300)),
             dict(sigma_grid=(1e155,)),
+            # a repeated rate would write two rows for one rate
+            dict(measurement_rates=(0.5, 0.5)),
         ],
     )
     def test_invalid_configs_rejected(self, changes):
@@ -181,7 +183,7 @@ class TestBatchedGridSearch:
         lam_scale = float(np.max(np.abs(problem.operator.adjoint(problem.y))))
         lams = [rel * lam_scale for rel in config.lambda_grid]
         full = TraceOptions()
-        with_objective = TraceOptions(objective=True, gradient=False, snr=True)
+        with_objective = TraceOptions(objective=True, gradient=False)
         [pnp_block] = solvers._ista(
             problem, gamma, [solvers._pnp_group(prior, config.sigma_grid, gamma, full)], config.max_iter, False
         )
@@ -353,16 +355,16 @@ class TestConvergenceExperiment:
     def test_requires_pnp_and_single_rate(self, tmp_path):
         with pytest.raises(ConfigurationError):
             run_convergence_experiment(
-                tiny_config(measurement_rates=(0.8,), solvers=("lasso",)), tmp_path
+                tiny_config(measurement_rates=(0.8,), solvers=("lasso",), output_dir=str(tmp_path))
             )
         with pytest.raises(ConfigurationError):
             run_convergence_experiment(
-                tiny_config(measurement_rates=(0.5, 0.8), solvers=("pnp",)), tmp_path
+                tiny_config(measurement_rates=(0.5, 0.8), solvers=("pnp",), output_dir=str(tmp_path))
             )
 
     def test_outputs_and_schema(self, tmp_path):
-        config = tiny_config(measurement_rates=(0.8,), solvers=("pnp", "lasso"))
-        paths = run_convergence_experiment(config, tmp_path)
+        config = tiny_config(measurement_rates=(0.8,), solvers=("pnp", "lasso"), output_dir=str(tmp_path))
+        paths = run_convergence_experiment(config)
         cost = (tmp_path / "convergence_cost.csv").read_text().splitlines()
         assert cost[0] == "iter,f_norm_mean,f_norm_min,f_norm_max"
         first = cost[1].split(",")
@@ -386,15 +388,15 @@ class TestConvergenceExperiment:
 
     def test_byte_identical_reruns(self, tmp_path):
         config = tiny_config(measurement_rates=(0.8,), solvers=("pnp", "lasso"))
-        run_convergence_experiment(config, tmp_path / "a")
-        run_convergence_experiment(config, tmp_path / "b")
+        for name in ("a", "b"):
+            run_convergence_experiment(dataclasses.replace(config, output_dir=str(tmp_path / name)))
         for name in ("convergence_cost.csv", "convergence_snr.csv", "selections.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_worker_pool_matches_serial(self, tmp_path):
         config = tiny_config(measurement_rates=(0.8,), solvers=("pnp",), trials=3)
-        run_convergence_experiment(config, tmp_path / "serial")
-        run_convergence_experiment(dataclasses.replace(config, workers=3), tmp_path / "pool")
+        run_convergence_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "serial")))
+        run_convergence_experiment(dataclasses.replace(config, workers=3, output_dir=str(tmp_path / "pool")))
         for name in ("convergence_cost.csv", "selections.csv"):
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
 
@@ -402,15 +404,14 @@ class TestConvergenceExperiment:
 class TestRateSweep:
     def test_requires_multiple_rates(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            run_rate_sweep(tiny_config(measurement_rates=(0.8,)), tmp_path)
+            run_rate_sweep(tiny_config(measurement_rates=(0.8,), output_dir=str(tmp_path)))
 
     def test_empty_solver_set_fails_before_compute(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            run_rate_sweep(tiny_config(solvers=(), measurement_rates=(0.4, 0.8)), tmp_path)
+            run_rate_sweep(tiny_config(solvers=(), measurement_rates=(0.4, 0.8), output_dir=str(tmp_path)))
 
     def test_outputs_and_schema(self, tmp_path):
-        config = tiny_config(measurement_rates=(0.4, 0.8), solvers=("pnp", "gamp"))
-        run_rate_sweep(config, tmp_path)
+        run_rate_sweep(tiny_config(measurement_rates=(0.4, 0.8), solvers=("pnp", "gamp"), output_dir=str(tmp_path)))
         lines = (tmp_path / "rate_sweep.csv").read_text().splitlines()
         assert lines[0] == "rate,solver,snr_mean,snr_min,snr_max"
         assert len(lines) == 1 + 2 * 2
@@ -475,6 +476,8 @@ class TestCli:
     def test_configuration_error_exit_code(self, tmp_path):
         assert main(["sweep", "--rates", "0.8", "--out", str(tmp_path)]) == 2
         assert main(["converge", "--rates", "0.8", "--solvers", "nope", "--out", str(tmp_path)]) == 2
+        # a repeated rate passes the sweep's two-rate check but would write two rows for one rate
+        assert main(["sweep", "--n", "32", "--trials", "1", "--rates", "0.5,0.5", "--out", str(tmp_path)]) == 2
 
     def test_config_file_plus_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,5 +1,7 @@
 """Measurement model, noise calibration, fidelity, and spectral estimates."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from pnpmmse import (
     snr_db,
 )
 from pnpmmse.experiment import ExperimentConfig, make_problem
+from pnpmmse.linear_model import POWER_ITERATION_MAX_ITER
 
 from oracles import dense_largest_eigenvalue, grad_central_diff, n_space_power_iteration
 
@@ -140,7 +143,7 @@ class TestDataFidelity:
         prior = BernoulliGaussianPrior(0.4)
         x = sample_signal(prior, 16, rng)
         op = generate_operator(24, 16, rng)
-        problem = build_instance(op, x, rng, sigma_e=0.0)
+        problem = ProblemInstance(op, x, op.forward(x), 0.0)
         assert data_fidelity(problem, x) == pytest.approx(0.0, abs=1e-24)
         np.testing.assert_allclose(grad_data_fidelity(problem, x), 0.0, atol=1e-12)
 
@@ -221,7 +224,7 @@ class TestLipschitz:
         rng = np.random.default_rng(11)
         for _ in range(10):
             op = generate_operator(30, 40, rng)
-            estimate = lipschitz_constant(op, tol=1e-12)
+            estimate = lipschitz_constant(op)
             exact = dense_largest_eigenvalue(op)
             assert estimate.value <= exact * (1.0 + 1e-10)
 
@@ -230,16 +233,31 @@ class TestLipschitz:
             lipschitz_constant(MeasurementOperator(np.zeros((3, 3))))
 
     @pytest.mark.parametrize(
-        "m,n,max_iter",
-        # 2m < n, m = n - 1, m = n and m > n, then two runs capped by max_iter
-        [(30, 100, 2000), (99, 100, 2000), (100, 100, 2000), (130, 100, 2000), (30, 100, 7), (130, 100, 7)],
+        "m,n",
+        # 2m < n, m = n - 1, m = n and m > n; each id ends in the iteration cap, 2000
+        [(30, 100), (99, 100), (100, 100), (130, 100)],
+        ids=["30-100-2000", "99-100-2000", "100-100-2000", "130-100-2000"],
     )
-    def test_matches_the_n_space_iteration(self, m, n, max_iter):
+    def test_matches_the_n_space_iteration(self, m, n):
         op = generate_operator(m, n, np.random.default_rng(1000 + m))
-        value, converged, iterations = n_space_power_iteration(op, max_iter=max_iter)
-        estimate = lipschitz_constant(op, max_iter=max_iter)
+        value, converged, iterations = n_space_power_iteration(op)
+        estimate = lipschitz_constant(op)
         assert (estimate.converged, estimate.iterations) == (converged, iterations)
-        assert converged == (max_iter == 2000)
+        assert converged
+        assert abs(estimate.value - value) <= 1e-13 * value
+
+    @pytest.mark.parametrize("m,n", [(4, 4), (3, 5), (5, 3)])
+    def test_matches_the_n_space_iteration_when_capped(self, m, n):
+        # H^T H has eigenvalues 1 and 0.999 on top: their ratio is too close to 1 for the
+        # relative change to reach the tolerance within the cap, in every shape
+        h = np.zeros((m, n))
+        k = min(m, n)
+        h[range(k), range(k)] = [1.0, np.sqrt(0.999), 0.5, 0.3][:k]
+        op = MeasurementOperator(h)
+        value, converged, iterations = n_space_power_iteration(op)
+        estimate = lipschitz_constant(op)
+        assert (estimate.converged, estimate.iterations) == (converged, iterations)
+        assert (converged, iterations) == (False, POWER_ITERATION_MAX_ITER)
         assert abs(estimate.value - value) <= 1e-13 * value
 
     def test_matches_the_n_space_iteration_when_capped_at_full_scale(self):
@@ -271,7 +289,7 @@ class TestLipschitz:
     def test_gram_rounding_to_zero_restarts_every_step(self):
         # a nonzero H whose H^T H underflows: every start lies in the null space
         op = MeasurementOperator(np.full((3, 4), 1e-170))
-        assert lipschitz_constant(op) == n_space_power_iteration(op) == (0.0, False, 2000)
+        assert lipschitz_constant(op) == n_space_power_iteration(op) == (0.0, False, POWER_ITERATION_MAX_ITER)
 
     def test_value_is_a_python_float(self):
         # a numpy float would warn where gamma * L overflows
@@ -283,6 +301,7 @@ class TestSnrDb:
     def test_perfect_reconstruction_capped(self):
         x = np.arange(1.0, 5.0)
         assert snr_db(x, x) == 300.0
+        assert type(snr_db(x, x)) is float
 
     def test_zero_estimate_is_zero_db(self):
         x = np.arange(1.0, 5.0)
@@ -306,29 +325,32 @@ class TestSnrDb:
         with pytest.raises(ValueError):
             snr_db(np.ones((4, 2)), np.ones(3))
 
-    def test_block_is_one_value_per_column(self):
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=50)
-        block = np.column_stack([x + rng.normal(scale=s, size=50) for s in (1e-3, 0.1, 1.0)] + [x])
-        values = snr_db(block, x)
-        assert values.shape == (4,)
-        np.testing.assert_allclose(values[:3], [snr_db(column, x) for column in block.T[:3]], rtol=0.0, atol=1e-12)
-        assert values[3] == 300.0
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3)], ids=["3x2", "2x3"])
+    def test_block_estimate_rejected(self, shape):
+        # one estimate per call; the ISTA records form a block's SNRs themselves
+        with pytest.raises(ValueError):
+            snr_db(np.ones(shape), np.ones(3))
+        with pytest.raises(ValueError):
+            snr_db(np.ones(shape), np.ones(shape))
 
 
 class TestBuildInstance:
     def test_requires_exactly_one_noise_spec(self):
+        # the input SNR is the one way to set the noise; a noiseless instance is built directly
         rng = np.random.default_rng(13)
         op = generate_operator(5, 4, rng)
         x = np.ones(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             build_instance(op, x, rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             build_instance(op, x, rng, input_snr_db=20.0, sigma_e=0.1)
 
-    def test_measurements_consistent_when_noiseless(self):
+    def test_noise_is_the_calibrated_level_times_the_next_draws(self):
         rng = np.random.default_rng(14)
         op = generate_operator(5, 4, rng)
         x = np.ones(4)
-        problem = build_instance(op, x, rng, sigma_e=0.0)
-        np.testing.assert_array_equal(problem.y, op.forward(x))
+        expected_rng = copy.deepcopy(rng)
+        problem = build_instance(op, x, rng, input_snr_db=20.0)
+        sigma = calibrate_noise_sigma(op, x, 20.0)
+        assert problem.sigma_e == sigma
+        np.testing.assert_array_equal(problem.y, op.forward(x) + sigma * expected_rng.standard_normal(5))

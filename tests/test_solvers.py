@@ -15,6 +15,7 @@ from pnpmmse import (
     MeasurementOperator,
     MmseDenoiser,
     NumericalFailureError,
+    ProblemInstance,
     TraceOptions,
     build_instance,
     data_fidelity,
@@ -28,6 +29,7 @@ from pnpmmse import (
     posterior_mean,
     posterior_moments,
     sample_signal,
+    snr_db,
     soft_threshold,
 )
 from pnpmmse import denoiser as denoiser_module
@@ -49,15 +51,14 @@ from oracles import (
 )
 
 
-def make_problem(rng, n=64, m=48, alpha=0.2, snr=20.0, sigma_e=None):
+def make_problem(rng, n=64, m=48, alpha=0.2, snr=20.0):
+    """A seeded instance at input SNR ``snr``, or a noiseless one where ``snr`` is None."""
     prior = BernoulliGaussianPrior(alpha)
     x = sample_signal(prior, n, rng)
     op = generate_operator(m, n, rng)
-    if sigma_e is None:
-        problem = build_instance(op, x, rng, input_snr_db=snr)
-    else:
-        problem = build_instance(op, x, rng, sigma_e=sigma_e)
-    return prior, problem
+    if snr is None:
+        return prior, ProblemInstance(op, x, op.forward(x), 0.0)
+    return prior, build_instance(op, x, rng, input_snr_db=snr)
 
 
 class TestSoftThreshold:
@@ -94,7 +95,7 @@ class TestPnpIsta:
         prior = BernoulliGaussianPrior(0.3)
         x_true = sample_signal(prior, 32, rng)
         op = MeasurementOperator(np.eye(32))
-        problem = build_instance(op, x_true, rng, sigma_e=0.0)
+        problem = ProblemInstance(op, x_true, op.forward(x_true), 0.0)
         denoiser = MmseDenoiser(prior, 0.4)
         trace = pnp_ista(problem, denoiser, gamma=1.0, max_iter=1)
         np.testing.assert_allclose(trace.final_iterate, denoiser.denoise(problem.y), rtol=1e-13)
@@ -163,7 +164,7 @@ class TestPnpIsta:
             2.0 / lip,
             max_iter=5,
             allow_large_step=True,
-            trace=TraceOptions(objective=False, gradient=False, snr=True),
+            trace=TraceOptions(objective=False, gradient=False),
         )
         assert trace.iterations_run == 5
 
@@ -178,7 +179,7 @@ class TestPnpIsta:
                 gamma=1e6,
                 max_iter=50,
                 allow_large_step=True,
-                trace=TraceOptions(objective=False, gradient=False, snr=False),
+                trace=TraceOptions(objective=False, gradient=False),
             )
         assert info.value.iteration is not None
 
@@ -222,6 +223,20 @@ class TestPnpIsta:
         dense = pnp_ista(problem, MmseDenoiser(prior, 0.3), 0.99 / lip, max_iter=7)
         np.testing.assert_array_equal(dense.iterations, np.arange(8))
         assert len(dense.objective) == len(dense.grad_norm) == len(dense.snr_db) == 8
+
+    def test_block_records_each_runs_own_snr(self):
+        # the block forms every run's SNR in one buffer; each must be that run's snr_db
+        rng = np.random.default_rng(8)
+        prior, problem = make_problem(rng, n=32, m=24)
+        gamma = 0.99 / problem.operator.lipschitz.value
+        groups = [
+            solvers._pnp_group(prior, (0.05, 0.3), gamma, TraceOptions()),
+            solvers._lasso_group((0.01, 0.1), gamma, TraceOptions()),
+        ]
+        for traces in solvers._ista(problem, gamma, groups, 15, False):
+            for trace in traces:
+                assert trace.snr_db[0] == pytest.approx(0.0, abs=1e-12)
+                assert trace.snr_db[-1] == pytest.approx(snr_db(trace.final_iterate, problem.x_true), abs=1e-12)
 
 
 @pytest.mark.parametrize("m", [31, 33, 128])
@@ -417,7 +432,7 @@ class TestLassoIsta:
 
     def test_small_weight_approaches_least_squares(self):
         rng = np.random.default_rng(10)
-        prior, problem = make_problem(rng, n=24, m=48, sigma_e=0.0)
+        prior, problem = make_problem(rng, n=24, m=48, snr=None)
         lip = problem.operator.lipschitz.value
         trace = lasso_ista(problem, 1e-6, 0.99 / lip, max_iter=2000)
         assert trace.snr_db[-1] > 80.0
@@ -438,7 +453,7 @@ class TestLassoIsta:
         support = rng.choice(n, size=3, replace=False)
         x_true[support] = rng.normal(scale=2.0, size=3)
         op = generate_operator(m, n, rng)
-        problem = build_instance(op, x_true, rng, sigma_e=0.0)
+        problem = ProblemInstance(op, x_true, op.forward(x_true), 0.0)
         lam = 0.01 * float(np.max(np.abs(op.adjoint(problem.y))))
         lip = op.lipschitz.value
         trace = lasso_ista(problem, lam, 0.99 / lip, max_iter=4000)
@@ -472,7 +487,8 @@ class TestGamp:
         prior = BernoulliGaussianPrior(0.2)
         n = 64
         x_true = sample_signal(prior, n, rng)
-        problem = build_instance(MeasurementOperator(np.eye(n)), x_true, rng, sigma_e=0.0)
+        op = MeasurementOperator(np.eye(n))
+        problem = ProblemInstance(op, x_true, op.forward(x_true), 0.0)
         trace = gamp(problem, prior, max_iter=200)
         np.testing.assert_allclose(trace.final_iterate, problem.y, atol=1e-8)
 
@@ -490,7 +506,7 @@ class TestGamp:
                     MmseDenoiser(prior, sigma),
                     0.99 / lip,
                     max_iter=300,
-                    trace=TraceOptions(objective=False, gradient=False, snr=True),
+                    trace=TraceOptions(objective=False, gradient=False),
                 )
                 best = max(best, trace.snr_db[-1])
             pnp_final.append(best)
