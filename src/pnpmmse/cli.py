@@ -3,8 +3,9 @@
 Configuration precedence, lowest to highest: built-in defaults, the JSON
 file named by ``--config``, the ``--paper-scale`` preset (n=4096, 100
 trials), then individual flags.  Exit codes: 0 success, 1 validation
-failure, 2 configuration error, 3 numerical-failure budget exceeded or a
-sweep rate at which every trial failed.
+failure, 2 configuration error (including a problem too large to fit in
+memory), 3 numerical-failure budget exceeded or a sweep rate at which
+every trial failed.
 """
 
 from __future__ import annotations
@@ -144,6 +145,11 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_VALIDATION_FAILED
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except MemoryError as exc:
+        # a shape that passes validation can still exceed this machine's memory
+        detail = str(exc) or "allocation failed"
+        print(f"configuration error: the problem does not fit in memory: {detail}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

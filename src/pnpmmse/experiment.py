@@ -77,6 +77,10 @@ def _log_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
     return tuple(float(v) for v in np.geomspace(lo, hi, count))
 
 
+# The largest n whose n x n float64 Gram matrix, which every trial
+# decomposes, numpy can form: its byte count must fit in an intp.
+_MAX_N = math.isqrt(np.iinfo(np.intp).max // 8)
+
 # Types that a scalar config field's value must have, keyed by its annotation.
 _SCALAR_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
@@ -109,8 +113,6 @@ class ExperimentConfig:
     lambda_grid: tuple[float, ...] = _log_grid(1e-4, 1.0, 15)
     sigma_grid: tuple[float, ...] = _log_grid(0.01, 0.37, 9)
     gamma_policy: str | float = "auto"
-    gamp_damping: float = 0.9
-    trace_interval: int = 1
     workers: int = 1
     output_dir: str = "results"
 
@@ -134,16 +136,14 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
-        if self.n < 1:
-            raise ConfigurationError("n must be >= 1")
+        if not 1 <= self.n <= _MAX_N:
+            raise ConfigurationError(f"n must be in [1, {_MAX_N}], so that the n x n Gram matrix can be formed")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigurationError("alpha must be in (0, 1]")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be >= 1")
-        if self.trace_interval < 1:
-            raise ConfigurationError("trace_interval must be >= 1")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
         if not self.measurement_rates:
@@ -170,8 +170,6 @@ class ExperimentConfig:
             snr_power = np.power(10.0, self.input_snr_db / 10.0)
         if not sys.float_info.min <= snr_power <= sys.float_info.max:
             raise ConfigurationError("input_snr_db must make 10**(snr/10) a normal float (about -3076 to 3082 dB)")
-        if not 0.0 < self.gamp_damping <= 1.0:
-            raise ConfigurationError("gamp_damping must be in (0, 1]")
         if isinstance(self.gamma_policy, str):
             if self.gamma_policy != "auto":
                 raise ConfigurationError("gamma_policy must be 'auto' or a positive number")
@@ -259,11 +257,6 @@ class TrialOutcome:
     error: str | None = None
 
 
-def _snr_trace(interval: int, objective: bool = False) -> TraceOptions:
-    """Trace the SNR, and the objective if asked; no CSV reads a gradient norm."""
-    return TraceOptions(objective=objective, gradient=False, interval=interval)
-
-
 def _best_final_snr(grid, traces):
     """Grid value whose run ends at the highest SNR, and that run; the first on ties."""
     best = int(np.argmax([trace.snr_db[-1] for trace in traces]))
@@ -273,28 +266,29 @@ def _best_final_snr(grid, traces):
 def _run_trial(config: ExperimentConfig, rate_index: int, trial: int, pnp_objective: bool) -> TrialOutcome:
     """One ISTA block over the tuned solvers' grids, then message passing.
 
-    ``pnp_objective`` traces every denoiser level's objective in the block.
-    Without it the trial is a sweep cell, which reads only each level's
-    final SNR, so the denoiser levels record only at the start and the
-    last iteration.
+    The LASSO grid records its SNR and objective at every iteration, and
+    so does every denoiser level with ``pnp_objective``; no CSV reads a
+    gradient norm.  Without it the trial is a sweep cell, which reads only
+    each level's final SNR, so the denoiser levels record only their SNR,
+    at the start and the last iteration.
     """
     outcome = TrialOutcome(rate_index, trial)
     try:
         problem = make_problem(config, rate_index, trial)
         prior = BernoulliGaussianPrior(config.alpha)
         gamma, override = _resolve_gamma(config, problem.operator)
-        interval = config.trace_interval
+        traced = TraceOptions(objective=True, gradient=False)
 
         # each tuned solver's grid is one run group of a single ISTA block
         grids = {}
         if "pnp" in config.solvers:
-            pnp_trace = _snr_trace(interval, objective=True) if pnp_objective else _snr_trace(config.max_iter)
-            group = _pnp_group(prior, config.sigma_grid, gamma, pnp_trace)
+            ends_only = TraceOptions(objective=False, gradient=False, interval=config.max_iter)
+            group = _pnp_group(prior, config.sigma_grid, gamma, traced if pnp_objective else ends_only)
             grids["pnp"] = ("sigma", config.sigma_grid, group)
         if "lasso" in config.solvers:
             lam_scale = float(np.max(np.abs(problem.operator.adjoint(problem.y))))
             lams = [rel * lam_scale for rel in config.lambda_grid]
-            group = _lasso_group(lams, gamma, _snr_trace(interval, objective=True))
+            group = _lasso_group(lams, gamma, traced)
             grids["lasso"] = ("lambda", lams, group)
         if grids:
             blocks = _ista(problem, gamma, [group for _, _, group in grids.values()], config.max_iter, override)
@@ -303,9 +297,7 @@ def _run_trial(config: ExperimentConfig, rate_index: int, trial: int, pnp_object
                 outcome.selections[solver] = (name, value)
 
         if "gamp" in config.solvers:
-            outcome.traces["gamp"] = gamp(
-                problem, prior, config.max_iter, config.gamp_damping, _snr_trace(interval)
-            )
+            outcome.traces["gamp"] = gamp(problem, prior, config.max_iter)
     except ConfigurationError:
         raise
     except (NumericalFailureError, ValueError) as exc:
@@ -751,7 +743,7 @@ def run_validation_suite(config: ExperimentConfig) -> ValidationReport:
         x_true = _nonzero_signal(prior, n, rng_g)
         operator = MeasurementOperator(np.eye(n))
         problem = build_instance(operator, x_true, rng_g, input_snr_db=config.input_snr_db)
-        trace = gamp(problem, prior, max_iter=200, damping=config.gamp_damping)
+        trace = gamp(problem, prior, max_iter=200)
         exact = MmseDenoiser(prior, problem.sigma_e).denoise(problem.y)
         worst = float(np.max(np.abs(trace.final_iterate - exact)))
         return _verdict(worst, tol, "max deviation from scalar denoiser")

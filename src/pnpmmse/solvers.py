@@ -394,14 +394,14 @@ _GAMP_SLOPE_EPS = 1e-12
 _GAMP_FIXED_POINT_RTOL = 1e-12
 _GAMP_PREC_MIN = 1e-12
 _GAMP_PREC_MAX = 1e12
+# Weight of each new extrinsic message against the previous one (1 would be undamped).
+_GAMP_DAMPING = 0.9
 
 
 def gamp(
     problem: ProblemInstance,
     prior: BernoulliGaussianPrior,
     max_iter: int = 500,
-    damping: float = 0.9,
-    trace: TraceOptions = TraceOptions(objective=False, gradient=False),
 ) -> SolverTrace:
     """MMSE message passing with the true statistical parameters.
 
@@ -412,23 +412,21 @@ def gamp(
     so a trial decomposes its operator once.
     On a decoupled operator (``H = I``) the likelihood-side extrinsic
     message is exactly the raw measurement channel, so the converged
-    estimate reproduces the scalar denoiser applied to ``y``.  ``damping``
-    in (0, 1] blends each new extrinsic message with the previous one
-    (1 means undamped).  No objective is recorded: the iteration minimizes
-    no explicit cost.
+    estimate reproduces the scalar denoiser applied to ``y``.  Each new
+    extrinsic message is blended with the previous one at a fixed damping
+    of 0.9.  The SNR is recorded at every iteration; no objective is
+    recorded: the iteration minimizes no explicit cost.
 
     The run stops at its fixed point, with ``stop_reason="fixed_point"``,
     once one iteration moves no component of the estimate by more than
-    ``1e-12`` times its largest magnitude (the zero start does not count);
-    the iteration that stops is always recorded.  A second rule reads the
-    true signal and stays only until the benchmark reference is captured
-    again without it: the run also stops, with ``diverged=True`` and
-    ``stop_reason="diverged"``, once the traced SNR has stayed more than
-    20 dB below its running peak for 10 consecutive records.  A non-finite
-    state or SNR record fails the run with a :class:`NumericalFailureError`.
+    ``1e-12`` times its largest magnitude (the zero start does not count).
+    A second rule reads the true signal and stays only until the benchmark
+    reference is captured again without it: the run also stops, with
+    ``diverged=True`` and ``stop_reason="diverged"``, once the traced SNR
+    has stayed more than 20 dB below its running peak for 10 consecutive
+    iterations.  A non-finite state or SNR record fails the run with a
+    :class:`NumericalFailureError`.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must be in (0, 1], got {damping}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
@@ -443,7 +441,7 @@ def gamp(
     r_prior = np.zeros(problem.n)
     prec_prior = 1.0 / prior.variance
 
-    rec = _Recorder(trace)
+    rec = _Recorder(TraceOptions(objective=False, gradient=False))
     rec.iterations.append(0)
     rec.snr.append(snr_db(x_hat, problem.x_true))
 
@@ -475,24 +473,22 @@ def gamp(
         prec_new = prec_lik * (1.0 - slope_lik) / slope_lik
         prec_new = min(max(prec_new, _GAMP_PREC_MIN), _GAMP_PREC_MAX)
         r_new = (x_lmmse - slope_lik * r_lik) / (1.0 - slope_lik)
-        prec_prior = damping * prec_new + (1.0 - damping) * prec_prior
-        r_prior = damping * r_new + (1.0 - damping) * r_prior
+        prec_prior = _GAMP_DAMPING * prec_new + (1.0 - _GAMP_DAMPING) * prec_prior
+        r_prior = _GAMP_DAMPING * r_new + (1.0 - _GAMP_DAMPING) * r_prior
 
+        rec.iterations.append(t)
+        # an estimate far from the signal overflows the error energy: -inf dB, rejected here
+        with np.errstate(over="ignore"):
+            current = snr_db(x_hat, problem.x_true)
+        _require_finite(current, t, "SNR")
+        rec.snr.append(current)
+        best_snr = max(best_snr, current)
+        below_peak = below_peak + 1 if current < best_snr - DIVERGENCE_DROP_DB else 0
+        if below_peak >= DIVERGENCE_PATIENCE:
+            stop_reason = "diverged"
+            break
         scale = float(np.max(np.abs(x_hat)))
-        settled = scale > 0.0 and float(np.max(np.abs(x_hat - x_prev))) <= _GAMP_FIXED_POINT_RTOL * scale
-        if settled or rec.due(t, max_iter):
-            rec.iterations.append(t)
-            # an estimate far from the signal overflows the error energy: -inf dB, rejected here
-            with np.errstate(over="ignore"):
-                current = snr_db(x_hat, problem.x_true)
-            _require_finite(current, t, "SNR")
-            rec.snr.append(current)
-            best_snr = max(best_snr, current)
-            below_peak = below_peak + 1 if current < best_snr - DIVERGENCE_DROP_DB else 0
-            if below_peak >= DIVERGENCE_PATIENCE:
-                stop_reason = "diverged"
-                break
-        if settled:
+        if scale > 0.0 and float(np.max(np.abs(x_hat - x_prev))) <= _GAMP_FIXED_POINT_RTOL * scale:
             stop_reason = "fixed_point"
             break
     return rec.build(x_hat, t, stop_reason)

@@ -4,7 +4,9 @@ Everything here deliberately avoids the package's closed forms: posterior
 moments come from adaptive quadrature, inverses from scipy's bracketing
 root finder, the LASSO optimum from coordinate descent, the soft
 threshold from its sign-and-max form, spectral norms from a dense
-eigensolver, and derivatives from finite differences.
+eigensolver, and derivatives from finite differences.  The one loop that
+does use a closed form, warm-started PnP-ISTA, runs the package's
+posterior mean from a start the package's ISTA loop does not offer.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from pnpmmse import data_fidelity
+from pnpmmse import data_fidelity, posterior_mean
 
 
 def gaussian_pdf(sigma, x):
@@ -145,6 +147,22 @@ def n_space_power_iteration(operator, tol=1e-10, max_iter=2000, seed=0):
             return new_estimate, True, it
         estimate = new_estimate
     return estimate, False, max_iter
+
+
+def warm_started_pnp(problem, prior, sigmas, gamma, x0, iterations):
+    """PnP-ISTA started from ``x0``, one denoiser level per row of one block.
+
+    Every row steps ``x <- posterior_mean(prior, sigma, x - gamma * H^T (H x - y))``
+    at its own level, ``iterations`` times; returns the block, one row per
+    entry of ``sigmas``.
+    """
+    operator = problem.operator
+    hty = operator.adjoint(problem.y)
+    levels = np.asarray(sigmas, dtype=float)[:, None]
+    x = np.tile(x0, (len(levels), 1))
+    for _ in range(iterations):
+        x = posterior_mean(prior, levels, x - gamma * (operator.normal(x) - hty))
+    return x
 
 
 def ridge_stationary_point(problem, denoiser, gamma):

@@ -11,8 +11,10 @@ level and the LASSO weight per trial by grid search.
 Criterion 8 is a strict expected failure: at 20% nonzeros the tuned
 soft-threshold iteration beats the exact posterior-mean denoiser at rate
 0.8 by about 2.6 dB, so the required +0.5 dB margin cannot hold.  The
-ordering it asks for does hold for sparser signals and is demonstrated by
-the passing companion test at the package default of 5% nonzeros.
+ordering it asks for does hold for sparser signals, as the companion test
+at the package default of 5% nonzeros shows, and on criterion 8's own
+trials once PnP-ISTA starts from each trial's tuned LASSO iterate instead
+of from zero, as the warm-start companion test shows.
 """
 
 import dataclasses
@@ -37,12 +39,13 @@ from pnpmmse import (
     neg_log_marginal,
     pnp_ista,
     sample_signal,
+    snr_db,
 )
 from pnpmmse.cli import main as cli_main
 from pnpmmse.experiment import ExperimentConfig, make_problem, run_rate_sweep
 from pnpmmse.solvers import _ista, _lasso_group, _pnp_group
 
-from oracles import grad_central_diff
+from oracles import grad_central_diff, warm_started_pnp
 
 DENOISER_SETTINGS = [
     (BernoulliGaussianPrior(0.2), 0.5),
@@ -93,18 +96,26 @@ def descent_runs(shared_instances):
 
 
 @pytest.fixture(scope="module")
-def tuned_finals(shared_instances):
+def tuned_lasso(shared_instances):
+    """Each shared trial's LASSO run that ends at the highest SNR over the weight grid."""
+    best = []
+    for problem, gamma in shared_instances:
+        lam_scale = float(np.max(np.abs(problem.operator.adjoint(problem.y))))
+        lams = np.geomspace(1e-4, 1.0, 15) * lam_scale
+        [traces] = _ista(problem, gamma, [_lasso_group(lams, gamma, SNR_ONLY)], 500, False)
+        best.append(max(traces, key=lambda trace: trace.snr_db[-1]))
+    return best
+
+
+@pytest.fixture(scope="module")
+def tuned_finals(shared_instances, tuned_lasso):
     prior = BernoulliGaussianPrior(SHARED_SETTING["alpha"])
-    pnp_scores, lasso_scores = [], []
+    pnp_scores = []
     for problem, gamma in shared_instances:
         sigmas = np.geomspace(0.01, 0.37, 9)
         [traces] = _ista(problem, gamma, [_pnp_group(prior, sigmas, gamma, SNR_ONLY)], 500, False)
         pnp_scores.append(max(trace.snr_db[-1] for trace in traces))
-        lam_scale = float(np.max(np.abs(problem.operator.adjoint(problem.y))))
-        lams = np.geomspace(1e-4, 1.0, 15) * lam_scale
-        [traces] = _ista(problem, gamma, [_lasso_group(lams, gamma, SNR_ONLY)], 500, False)
-        lasso_scores.append(max(trace.snr_db[-1] for trace in traces))
-    return np.array(pnp_scores), np.array(lasso_scores)
+    return np.array(pnp_scores), np.array([trace.snr_db[-1] for trace in tuned_lasso])
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +309,27 @@ def test_criterion_08_pnp_beats_tuned_lasso_at_alpha_02(tuned_finals):
         f"(margin {margin:+.2f} dB, needs >= +0.5)"
     )
     assert margin >= 0.5
+
+
+def test_companion_warm_started_pnp_beats_tuned_lasso_at_alpha_02(shared_instances, tuned_lasso):
+    # not a numbered criterion: criterion 8's trials, denoiser grid and margin, with PnP-ISTA
+    # started from each trial's best LASSO iterate instead of from zero.  The mean margin is
+    # the same after 100 and after 500 warm iterations to within 0.01 dB.
+    prior = BernoulliGaussianPrior(SHARED_SETTING["alpha"])
+    sigmas = np.geomspace(0.01, 0.37, 9)
+    start = time.time()
+    margins = []
+    for (problem, gamma), lasso in zip(shared_instances, tuned_lasso):
+        block = warm_started_pnp(problem, prior, sigmas, gamma, lasso.final_iterate, 100)
+        margins.append(max(snr_db(x, problem.x_true) for x in block) - lasso.snr_db[-1])
+    elapsed = time.time() - start
+    margin = float(np.mean(margins))
+    assert margin >= 0.5
+    report(
+        8,
+        "companion: PnP warm-started from tuned LASSO at alpha=0.2 (not the numbered criterion)",
+        f"margin {margin:+.2f} dB, per trial {min(margins):+.2f} to {max(margins):+.2f}, {elapsed:.1f}s",
+    )
 
 
 def test_companion_sparser_prior_restores_the_ordering(sweep_rows):

@@ -4,7 +4,9 @@ Every ``sweep`` or ``converge`` command ends in exit 0, 2 (configuration
 error) or 3 (numerical failure); no exception escapes ``cli.main``, no
 numpy ``RuntimeWarning`` is raised (the suite's conftest turns one into
 an error), and a command that exits 0 writes only finite numbers, one
-``rate_sweep.csv`` row per rate and solver.
+``rate_sweep.csv`` row per rate and solver.  A configuration error,
+including a problem too large for memory, exits 2 with one line on
+stderr.
 """
 
 import csv
@@ -13,9 +15,11 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pnpmmse import experiment
 from pnpmmse.cli import main
 from pnpmmse.experiment import KNOWN_SOLVERS
 
@@ -43,7 +47,6 @@ def configs(draw):
         "sigma_grid": draw(st.lists(log_uniform(-160.0, 160.0), min_size=1, max_size=3)),
         "lambda_grid": draw(st.lists(log_uniform(-300.0, 300.0), min_size=1, max_size=3)),
         "gamma_policy": draw(st.one_of(st.just("auto"), log_uniform(-10.0, 10.0))),
-        "gamp_damping": draw(log_uniform(-6.0, 0.0)),
     }
 
 
@@ -96,3 +99,39 @@ def test_every_command_keeps_the_exit_code_contract(config):
                 keys = [(float(row[0]), row[1]) for row in list(csv.reader(fh))[1:]]
             assert len(keys) == len(set(keys))
             assert sorted({rate for rate, _ in keys}) == values["measurement_rates"]
+
+
+def run_small_sweep(tmp_path, **changes):
+    values = dict(SMALL_SWEEP, **changes)
+    command = values.pop("command")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(values))
+    return main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize(
+    "changes, reason",
+    [
+        # message passing's damping and the trace interval are not config keys
+        (dict(gamp_damping=0.9), "unknown config keys: ['gamp_damping']"),
+        (dict(trace_interval=1), "unknown config keys: ['trace_interval']"),
+        # used to raise OverflowError where the trial sized its operator
+        (dict(n=10**400), "n must be in [1, 1073741823]"),
+    ],
+    ids=["gamp_damping", "trace_interval", "n=10**400"],
+)
+def test_configuration_error_exits_2_with_one_line(tmp_path, capsys, changes, reason):
+    assert run_small_sweep(tmp_path, **changes) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"configuration error: {reason}")
+
+
+def test_memory_error_in_a_trial_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # an allocation this test really made could succeed under overcommit and exhaust the machine
+    def out_of_memory(config, rate_index, trial):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
+
+    monkeypatch.setattr(experiment, "make_problem", out_of_memory)
+    assert run_small_sweep(tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("configuration error: the problem does not fit in memory")

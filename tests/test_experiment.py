@@ -75,7 +75,8 @@ class TestConfig:
             dict(solvers=("lasso",), lambda_grid=()),
             dict(gamma_policy="fast"),
             dict(gamma_policy=-0.5),
-            dict(gamp_damping=0.0),
+            # message passing's damping and the trace interval are not config keys
+            dict(gamp_damping=0.9),
             dict(workers=0),
             dict(sigma_grid=(math.inf,)),
             dict(lambda_grid=(math.nan,)),
@@ -88,11 +89,17 @@ class TestConfig:
             dict(sigma_grid=(1e155,)),
             # a repeated rate would write two rows for one rate
             dict(measurement_rates=(0.5, 0.5)),
+            dict(trace_interval=1),
+            # the n x n Gram matrix every trial decomposes would exceed numpy's largest array
+            dict(n=2**30),
         ],
     )
     def test_invalid_configs_rejected(self, changes):
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(**changes).validate()
+            ExperimentConfig.from_dict(changes).validate()
+
+    def test_largest_formable_n_validates(self):
+        ExperimentConfig(n=2**30 - 1).validate()
 
     def test_highest_admitted_snr_keeps_the_noise_positive(self):
         # m * 10**(snr/10) overflows here at m = 8, which used to give a noise-free problem

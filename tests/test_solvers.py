@@ -512,13 +512,6 @@ class TestGamp:
             pnp_final.append(best)
         assert np.mean(gamp_final) >= np.mean(pnp_final)
 
-    @pytest.mark.parametrize("damping", [0.0, -0.5, 1.5])
-    def test_damping_domain(self, damping):
-        rng = np.random.default_rng(16)
-        prior, problem = make_problem(rng, n=16, m=16)
-        with pytest.raises(ValueError):
-            gamp(problem, prior, max_iter=5, damping=damping)
-
     def test_snr_trace_dense_from_zero(self):
         rng = np.random.default_rng(17)
         prior, problem = make_problem(rng, n=32, m=26)
