@@ -429,10 +429,21 @@ class TestRateSweep:
 
 
 class TestValidationSuite:
-    def test_default_suite_passes(self):
-        report = run_validation_suite(tiny_config())
+    @pytest.mark.parametrize("input_snr_db", [20.0, -300.0])
+    def test_default_suite_passes(self, input_snr_db):
+        report = run_validation_suite(tiny_config(input_snr_db=input_snr_db))
         assert report.passed
         assert all(c.status == "PASS" for c in report.checks)
+
+    def test_normalization_check_fails_on_a_scaled_density(self, monkeypatch):
+        def status():
+            checks = run_validation_suite(tiny_config()).checks
+            return {c.name: c.status for c in checks}["marginal_normalization"]
+
+        assert status() == "PASS"
+        density = experiment.marginal_density
+        monkeypatch.setattr(experiment, "marginal_density", lambda prior, sigma, z: density(prior, sigma, z) * (1 + 1e-6))
+        assert status() == "FAIL"
 
     def test_report_names_and_details_keep_their_shape(self):
         value = r"\d\.\d{3}e[+-]\d{2}"
@@ -650,21 +661,26 @@ class TestCli:
         assert f"{field} must be a list, got the string {value!r}" in capsys.readouterr().err
 
 
-START_UP_PROBE = """
+NO_SCIPY_PROBE = """
 import json, sys
-import pnpmmse, pnpmmse.cli
-from pnpmmse.experiment import ExperimentConfig
-ExperimentConfig(n=64, measurement_rates=[0.3, 0.8]).validate()
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from pnpmmse.cli import main
+tiny = ["--n", "16", "--trials", "1", "--max-iter", "5"]
+codes = [
+    main(["sweep", *tiny, "--rates", "0.5,0.8", "--out", sys.argv[1] + "/sweep"]),
+    main(["converge", *tiny, "--rates", "0.5", "--out", sys.argv[1] + "/converge"]),
+    main(["validate", "--out", sys.argv[1] + "/validate"]),
+]
+print(json.dumps(codes))
 """
 
 
-def test_start_up_loads_no_scipy():
-    # only validate's quadrature check needs scipy; every other command starts without it
+def test_start_up_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy is for the tests' oracles
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", START_UP_PROBE], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", NO_SCIPY_PROBE, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, 0, 0]
