@@ -77,8 +77,8 @@ def _log_grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
     return tuple(float(v) for v in np.geomspace(lo, hi, count))
 
 
-# The largest n whose n x n float64 Gram matrix, which every trial
-# decomposes, numpy can form: its byte count must fit in an intp.
+# The largest n whose n x n float64 Gram matrix, which a trial forms where
+# 2m > n, numpy can form: its byte count must fit in an intp.
 _MAX_N = math.isqrt(np.iinfo(np.intp).max // 8)
 
 # Types that a scalar config field's value must have, keyed by its annotation.
@@ -332,9 +332,7 @@ def _held_to_length(values: np.ndarray, length: int) -> np.ndarray:
 
     Only message-passing traces are shorter than the common grid: they stop
     at their fixed point, where the estimate no longer changes, so holding
-    the last record is the faithful continuation.  The SNR rule that also
-    stops them (``diverged``) holds its last record the same way, and stays
-    only until the benchmark reference is captured again without it.
+    the last record is the faithful continuation.
     """
     if len(values) >= length:
         return values[:length]

@@ -73,15 +73,14 @@ class MeasurementOperator:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        """Eigendecomposition of ``H^T H``, read-only, computed on first use and kept.
+        """Eigendecomposition of the smaller Gram matrix, read-only, computed on first use and kept.
 
-        The one ``np.linalg.eigh`` per operator: the step size
-        (:func:`lipschitz_constant`) and message passing both read it.  It
-        decomposes the kept :attr:`gram` when ``2m > n``, where
-        :meth:`normal` keeps that anyway; otherwise it forms ``H^T H`` for
-        the call and keeps none.
+        The one ``np.linalg.eigh`` per operator, which the step size
+        (:func:`lipschitz_constant`) and message passing both read: of the
+        ``m x m`` ``H H^T``, formed for the call, when ``m < n``, else of the
+        kept :attr:`gram`.
         """
-        gram = self.gram if 2 * self.m > self.n else self.matrix.T @ self.matrix
+        gram = self.matrix @ self.matrix.T if self.m < self.n else self.gram
         values, vectors = np.linalg.eigh(gram)
         values = np.clip(values, 0.0, None)
         values.flags.writeable = False
@@ -207,10 +206,10 @@ def _check_signal(problem: ProblemInstance, x) -> np.ndarray:
 
 
 class Spectrum(NamedTuple):
-    """``H^T H = V diag(values) V^T``, as :attr:`MeasurementOperator.spectrum` keeps it.
+    """``H H^T = U diag(values) U^T`` when ``m < n``, else ``H^T H = V diag(values) V^T``.
 
     ``values`` ascend, each rounded below zero clipped to 0; ``vectors`` is
-    the orthonormal ``V``, one eigenvector per column.
+    the orthonormal ``U`` or ``V``, one eigenvector per column.
     """
 
     values: np.ndarray
@@ -237,36 +236,41 @@ def lipschitz_constant(operator: MeasurementOperator) -> LipschitzEstimate:
     :data:`POWER_ITERATION_MAX_ITER` iterations the last estimate is
     returned with ``converged=False``.
 
-    No iterate is formed.  With the operator's kept spectrum ``H^T H =
-    V diag(lam) V^T``, ``c = V^T v`` and ``w = lam / max(lam)``,
-    the k-th estimate from a start is ``max(lam) * sum(w**(2k-1) c**2) /
-    sum(w**(2k-2) c**2)``: each step costs a few passes over ``n`` numbers
-    instead of a matrix product, and the estimates, the stop rule, the
-    iteration count and the flag are the iteration's own.
+    No iterate is formed.  With the operator's kept spectrum ``lam`` and
+    ``d = (U^T H v)**2`` (``lam * (V^T v)**2`` for ``H^T H``), the first
+    estimate from a start is ``|H v|^2 = sum(d)`` and the k-th
+    ``sum(lam**(2k-2) d) / sum(lam**(2k-3) d)``, in the ratios ``lam /
+    max(lam)``: each step is a few passes over the spectrum, nothing is
+    divided by ``lam``, and the estimates, the stop rule, the iteration
+    count and the flag are the iteration's own.
     """
     if not np.any(operator.matrix):
         raise ValueError("operator must be nonzero")
     values, vectors = operator.spectrum
     top = float(values[-1])
     if top == 0.0:
-        # H^T H rounds to zero, so every start lies in the null space and is drawn again
+        # the Gram matrix rounds to zero, so every start lies in the null space and is drawn again
         return LipschitzEstimate(0.0, False, POWER_ITERATION_MAX_ITER)
     ratio = values / top
     ratio_sq = ratio * ratio
     rng = np.random.default_rng(0)
-    # c**2 * w**(2k-2), the start's squared coordinates weighted for the k-th step
+    # d * (lam / max(lam))**(2k-3), the start's weights for the k-th step
     mass, estimate = None, 0.0
     for it in range(1, POWER_ITERATION_MAX_ITER + 1):
         if mass is None:
             v = rng.standard_normal(operator.n)
             v /= np.linalg.norm(v)
-            mass = np.square(v @ vectors)
-            if (values * values) @ mass == 0.0:
+            if operator.m < operator.n:
+                d = np.square(operator.forward(v) @ vectors)
+            else:
+                d = values * np.square(v @ vectors)
+            if values @ d == 0.0:
                 # |H^T H v|^2 is zero: v landed in the null space; restart deterministically.
-                mass = None
                 continue
-        new_estimate = top * float(ratio @ mass) / float(np.sum(mass))
-        mass *= ratio_sq
+            new_estimate, mass = float(np.sum(d)), ratio * d
+        else:
+            new_estimate = top * float(ratio @ mass) / float(np.sum(mass))
+            mass *= ratio_sq
         if it > 1 and abs(new_estimate - estimate) <= POWER_ITERATION_TOL * abs(new_estimate):
             return LipschitzEstimate(new_estimate, True, it)
         estimate = new_estimate

@@ -272,7 +272,7 @@ class TestBatchedGridSearch:
         decomposed = []
 
         def eigh(a, _original=np.linalg.eigh, **kwargs):
-            decomposed.append(type(a))
+            decomposed.append(a.shape)
             return _original(a, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", eigh)
@@ -292,10 +292,12 @@ class TestBatchedGridSearch:
             assert block_products == {"forward": 0, "adjoint": 0, "gram": runs}
         else:
             assert block_products == {"forward": runs, "adjoint": runs, "gram": 0}
-        # the step size and message passing read one decomposition of H^T H; it
-        # decomposes the kept Gram matrix on the Gram route and keeps none otherwise
+        # the step size and message passing read one decomposition, of the m x m H H^T
+        # as m < n; only the Gram route forms the n x n H^T H, for its products
+        m = make_problem(config, 0, 0).m
+        assert m < config.n
         assert len(grams_formed) == int(gram_route)
-        assert decomposed == [CountedGram if gram_route else np.ndarray]
+        assert decomposed == [(m, m)]
         assert single_runs == []
         assert outcome.traces["pnp"].grad_norm is None
         return outcome
@@ -553,12 +555,16 @@ class TestCli:
         assert main(argv) == 2
         assert "input_snr_db must make 10**(snr/10) a normal float" in capsys.readouterr().err
 
-    def test_nonfinite_gamp_snr_fails_its_trial(self, tmp_path, caplog):
-        # at 3000 dB, GAMP's estimate drifts far enough from the signal to overflow the
-        # error energy: an SNR of -inf, which the suite would also see as an overflow warning
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"input_snr_db": 3000}')
-        argv = ["sweep", "--config", str(cfg), "--n", "16", "--trials", "1", "--rates", "0.5,0.6"]
+    def test_nonfinite_gamp_snr_fails_its_trial(self, tmp_path, caplog, monkeypatch):
+        # measurements 1e200 times too large for their signal carry GAMP's estimate far
+        # enough from it to overflow the error energy: an SNR of -inf, which the suite
+        # would also see as an overflow warning
+        def inconsistent(*args, _original=experiment.make_problem):
+            problem = _original(*args)
+            return dataclasses.replace(problem, y=1e200 * problem.y)
+
+        monkeypatch.setattr(experiment, "make_problem", inconsistent)
+        argv = ["sweep", "--n", "16", "--trials", "1", "--rates", "0.5,0.6", "--solvers", "gamp"]
         assert main([*argv, "--max-iter", "3", "--out", str(tmp_path / "out")]) == 3
         assert len(re.findall(r"failed: non-finite SNR at iteration \d+", caplog.text)) == 2
         assert not (tmp_path / "out" / "rate_sweep.csv").exists()

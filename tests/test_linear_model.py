@@ -57,15 +57,31 @@ class TestMeasurementOperator:
     @pytest.mark.parametrize("m,n", [(3, 8), (6, 4)])
     def test_spectrum_is_read_only_and_keeps_the_gram_only_where_normal_does(self, m, n):
         op = generate_operator(m, n, np.random.default_rng(0))
+        h = op.matrix
+        shapes = []
+
+        class Recorded(np.ndarray):
+            """The operator's matrix, recording the shape of every array numpy derives from it."""
+
+            def __array_finalize__(self, obj):
+                shapes.append(self.shape)
+
+        object.__setattr__(op, "matrix", h.view(Recorded))
         values, vectors = op.spectrum
+        op.lipschitz
         with pytest.raises(ValueError):
             values[0] = 5.0
         with pytest.raises(ValueError):
             vectors[0, 0] = 5.0
         assert op.spectrum is op.spectrum
         assert np.all(values >= 0.0) and np.all(np.diff(values) >= 0.0)
-        np.testing.assert_allclose((vectors * values) @ vectors.T, op.matrix.T @ op.matrix, atol=1e-12)
+        # the smaller Gram matrix: the m x m H H^T when m < n, else H^T H
+        gram = h @ h.T if m < n else h.T @ h
+        assert vectors.shape == gram.shape == (min(m, n), min(m, n))
+        np.testing.assert_allclose((vectors * values) @ vectors.T, gram, atol=1e-12)
         assert ("gram" in op.__dict__) == (2 * m > n)
+        # the spectrum and the step size form no n x n array where the ISTA products keep none
+        assert ((n, n) in shapes) == (2 * m > n)
 
     def test_callers_array_stays_writeable(self):
         n = 5

@@ -42,10 +42,10 @@ from pnpmmse.experiment import make_problem as make_trial_problem
 
 from oracles import (
     GAMP_SEED_1000_SNR_500_DB,
-    GAMP_SEED_3_SNR_AT_STOP_DB,
     dense_largest_eigenvalue,
     lasso_coordinate_descent,
     lasso_objective,
+    n_space_lmmse,
     ridge_stationary_point,
     sign_max_soft_threshold,
 )
@@ -556,11 +556,48 @@ class TestGamp:
         assert trace.iterations[-1] == trace.iterations_run
         assert abs(trace.snr_db[-1] - GAMP_SEED_1000_SNR_500_DB) <= 1e-9
 
-    def test_snr_rule_stops_the_overshooting_cell_as_before(self):
+    def test_overshooting_cell_recovers_to_its_fixed_point(self):
+        # the estimate overshoots to about 1e13 within a dozen iterations, then settles
         trace = gamp(self.sweep_low_problem(3), BernoulliGaussianPrior(0.05))
-        assert trace.stop_reason == "diverged" and trace.diverged
-        assert trace.iterations_run == 12
-        assert trace.snr_db[-1] == GAMP_SEED_3_SNR_AT_STOP_DB
+        assert trace.stop_reason == "fixed_point" and not trace.diverged
+        assert trace.snr_db[-1] > 20.0
+
+    @pytest.mark.parametrize("rate_index", [0, 1], ids=["rate-0.5", "rate-0.8"])
+    def test_high_input_snr_ends_near_it(self, rate_index):
+        # the n - m directions H does not see keep the message exactly: rounding in
+        # them is not divided by the tiny noise variance
+        config = ExperimentConfig(seed=7, n=256, measurement_rates=(0.5, 0.8), trials=2, input_snr_db=200.0)
+        for trial in range(config.trials):
+            problem = make_trial_problem(config, rate_index, trial)
+            trace = gamp(problem, BernoulliGaussianPrior(config.alpha))
+            assert trace.stop_reason == "fixed_point"
+            assert trace.snr_db[-1] > 150.0
+
+    @pytest.mark.parametrize("shape", ["m<n", "m=n", "m>n"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 48),
+        extra=st.integers(1, 48),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(0.05, 0.5),
+        input_snr_db=st.floats(10.0, 30.0),
+        log_a=st.floats(-3.0, 1.0),
+    )
+    def test_lmmse_step_matches_the_n_space_step(self, shape, n, extra, seed, alpha, input_snr_db, log_a):
+        # a = sigma_e**2 * prec at least 1e-3: the n-space step divides the rounding
+        # in its null modes by it, which at moderate SNR stays far below the tolerance
+        m = {"m<n": 1 + extra % (n - 1), "m=n": n, "m>n": n + extra}[shape]
+        config = ExperimentConfig(
+            seed=seed, n=n, alpha=alpha, input_snr_db=input_snr_db, measurement_rates=(m / n,), trials=1
+        )
+        problem = make_trial_problem(config, 0, 0)
+        assert problem.m == m
+        prec = 10.0**log_a / problem.sigma_e**2
+        r = np.random.default_rng(seed).normal(0.0, np.sqrt(1.0 / alpha), n)
+        x, divergence = solvers._lmmse(problem, r, prec)
+        x_ref, divergence_ref = n_space_lmmse(problem, r, prec)
+        assert np.max(np.abs(x - x_ref)) <= 1e-9 * np.max(np.abs(x_ref))
+        assert abs(divergence - divergence_ref) <= 1e-9
 
 
 class TestMmSurrogate:
