@@ -44,11 +44,11 @@ _MAX_NEWTON_ITER = 200
 def posterior_moments(prior: BernoulliGaussianPrior, sigma, z):
     """Posterior mean and variance of ``x`` given ``z = x + noise(sigma)``.
 
-    ``sigma`` may be a scalar or an array broadcastable against ``z``; the
-    message-passing solver relies on the per-component form.  The variance
-    is assembled as ``w*c*sigma**2 + w*(1-w)*(c*z)**2`` (responsibility
-    ``w``, slab gain ``c``), a sum of nonnegative terms, so it never goes
-    negative by cancellation.
+    ``sigma`` may be a scalar or an array broadcastable against ``z``;
+    message passing passes one scalar level.  The variance is assembled
+    as ``w*c*sigma**2 + w*(1-w)*(c*z)**2`` (responsibility ``w``, slab
+    gain ``c``), a sum of nonnegative terms, so it never goes negative by
+    cancellation.
     """
     z = np.asarray(z, dtype=float)
     w_slab, w_spike, levels = _mixture_stats(prior, sigma, z)

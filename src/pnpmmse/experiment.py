@@ -165,7 +165,7 @@ class ExperimentConfig:
             raise ConfigurationError("grid values must be positive and finite")
         if not _usable_level(self.sigma_grid):
             raise ConfigurationError("sigma_grid entries must square to a normal float (about 1.5e-154 to 1.3e154)")
-        # the noise calibration divides by the power 10**(snr/10)
+        # the documented CLI range (README: 4000 and -4000 exit 2), not a limit of the noise calibration
         with np.errstate(over="ignore"):
             snr_power = np.power(10.0, self.input_snr_db / 10.0)
         if not sys.float_info.min <= snr_power <= sys.float_info.max:

@@ -162,17 +162,15 @@ def calibrate_noise_sigma(
     """Per-component noise deviation hitting a target measurement-domain SNR.
 
     The input SNR convention is ``|H x|^2 / E|e|^2`` in expectation, i.e.
-    ``sigma_e = |H x| / sqrt(m * 10**(snr/10))``.
+    ``sigma_e = |H x| / sqrt(m * 10**(snr/10))``, evaluated as
+    ``|H x| / sqrt(m) / 10**(snr/20)`` so that no factor leaves the float
+    range before the quotient does.
     """
     hx = operator.forward(x_true)
     energy = float(np.linalg.norm(hx))
     if energy == 0.0:
         raise ValueError("x_true maps to zero; input SNR is undefined")
-    power = operator.m * 10.0 ** (input_snr_db / 10.0)
-    if np.isinf(power):
-        # the product overflows near the top of the admitted SNR range; its factors' roots do not
-        return energy / np.sqrt(operator.m) / 10.0 ** (input_snr_db / 20.0)
-    return energy / np.sqrt(power)
+    return energy / np.sqrt(operator.m) / 10.0 ** (input_snr_db / 20.0)
 
 
 def build_instance(

@@ -101,8 +101,6 @@ def _usable_level(sigma) -> bool:
 
 # Above this log odds, e**gap overflows: log(DBL_MAX) is about 709.78.
 _EXP_LIMIT = 709.0
-# Above this ratio of sigma**2 to sigma_x**2, 1/sigma**2 - 1/(sigma_x**2 + sigma**2) has lost half its digits.
-_CANCELLING_RATIO = 2.0**26
 # Log odds are clamped up to this before exp: 1 + e**-700 is exactly 1, as is 1 + e**gap below it.
 _EXP_FLOOR = -700.0
 
@@ -136,28 +134,17 @@ class _Levels:
         self.variance = np.asarray(sigma, dtype=float) ** 2
         self.slab_variance = prior.sigma_x**2 + self.variance
         self.gain = prior.sigma_x**2 / self.slab_variance
-        # 1/sigma**2 - 1/(sigma_x**2 + sigma**2) cancels as sigma outgrows sigma_x, all of it
-        # from about 1e8 * sigma_x, where invert's Newton steps stall.  Its algebraic equal
-        # gain/sigma**2 takes over only there, so levels near sigma_x (all of message
-        # passing's, on the benchmark) keep their arithmetic bit for bit.
-        self.curvature = np.where(
-            self.variance > _CANCELLING_RATIO * prior.sigma_x**2,
-            self.gain / self.variance,
-            1.0 / self.variance - 1.0 / self.slab_variance,
-        )
-        with np.errstate(over="ignore"):
-            log_norm = 0.5 * np.log(2.0 * np.pi * self.slab_variance)
-        # the product overflows once sigma is above about 5.3e153; the logs' sum does not
-        if np.isinf(log_norm).any():
-            sum_of_logs = 0.5 * (math.log(2.0 * math.pi) + np.log(self.slab_variance))
-            log_norm = np.where(np.isinf(log_norm), sum_of_logs, log_norm)
-        self.log_slab_norm = log_norm
+        # not 1/sigma**2 - 1/(sigma_x**2 + sigma**2), which cancels as sigma outgrows sigma_x
+        self.curvature = self.gain / self.variance
+        # a sum of logs: 2*pi*(sigma_x**2 + sigma**2) overflows once sigma is above about 5.3e153
+        self.log_slab_norm = 0.5 * (math.log(2.0 * math.pi) + np.log(self.slab_variance))
         # gap at z = 0, its largest value; None when alpha is 1 and there is no spike
         self.gap0 = None
         if prior.alpha < 1.0:
             with np.errstate(over="ignore"):
                 log_ratio = np.log(self.slab_variance / self.variance)
-            # the ratio overflows once sigma is below about sigma_x / 1.3e154; the logs' difference does not
+            # the ratio overflows once sigma is below about sigma_x / 1.3e154; the logs' difference does not,
+            # but it loses digits where the logs nearly cancel, so it takes over only there
             if np.isinf(log_ratio).any():
                 log_ratio = np.where(np.isinf(log_ratio), np.log(self.slab_variance) - np.log(self.variance), log_ratio)
             self.gap0 = math.log1p(-prior.alpha) - math.log(prior.alpha) + 0.5 * log_ratio

@@ -464,7 +464,6 @@ def gamp(
             raise NumericalFailureError(f"non-finite state at iteration {t}", iteration=t)
         if np.any(tau_x < 0.0):
             raise NumericalFailureError(f"negative variance at iteration {t}", iteration=t)
-        tau_x = np.maximum(tau_x, 1e-300)
 
         slope = min(max(float(np.mean(tau_x)) / v1, _GAMP_SLOPE_EPS), 1.0 - _GAMP_SLOPE_EPS)
         prec_lik = prec_prior * (1.0 - slope) / slope

@@ -266,7 +266,7 @@ class TestInvert:
 
     @pytest.mark.parametrize("sigma", [1e9, 1e10, 1e50])
     def test_round_trip_far_above_the_slab(self, sigma):
-        # the log odds' curvature 1/sigma**2 - 1/(sigma_x**2 + sigma**2) cancels here
+        # the log odds' curvature written as 1/sigma**2 - 1/(sigma_x**2 + sigma**2) would cancel here
         d = MmseDenoiser(BernoulliGaussianPrior(0.05), sigma)
         x = np.array([-2.5, 1e-3, 1.0, 40.0])
         np.testing.assert_allclose(d.denoise(d.invert(x)), x, rtol=1e-13, atol=0.0)

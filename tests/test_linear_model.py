@@ -1,6 +1,7 @@
 """Measurement model, noise calibration, fidelity, and spectral estimates."""
 
 import copy
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -139,6 +140,18 @@ class TestNoiseCalibration:
         e = sigma * rng.standard_normal(m)
         realized = 10 * np.log10(float(hx @ hx) / float(e @ e))
         assert realized == pytest.approx(20.0, abs=0.5)
+
+    @pytest.mark.parametrize("input_snr_db", [-3300.0, -3200.0, 3200.0])
+    def test_level_beyond_the_admitted_range(self, input_snr_db):
+        # m * 10**(snr/10) underflows or overflows at these levels; sigma_e itself is a normal float
+        op = generate_operator(30, 20, np.random.default_rng(6))
+        x = np.random.default_rng(7).normal(size=20)
+        sigma = calibrate_noise_sigma(op, x, input_snr_db)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            energy = sum(Decimal(v) ** 2 for v in op.forward(x)).sqrt()
+            expected = energy / (op.m * Decimal(10) ** (Decimal(input_snr_db) / 10)).sqrt()
+        assert abs(Decimal(sigma) - expected) <= Decimal("1e-13") * expected
 
     def test_zero_signal_rejected(self):
         op = generate_operator(10, 10, np.random.default_rng(0))

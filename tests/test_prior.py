@@ -1,9 +1,13 @@
 """Prior construction, sampling, and smoothed-marginal identities."""
 
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from pnpmmse import (
@@ -224,6 +228,49 @@ class TestSpread:
             spread = levels.spread_into(gap, np.empty_like(gap))
             unclamped = 1.0 + np.exp(gap)
         assert spread.tobytes() == unclamped.tobytes()
+
+
+# pi to 52 significant digits, for the 50-digit references below
+PI = Decimal("3.141592653589793238462643383279502884197169399375106")
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+class TestChannelConstants:
+    """``_Levels``' constants against a 50-digit evaluation from the same float ``sigma`` and ``sigma_x``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sigma=_log_uniform(1.5e-154, 1.3e154), alpha=_log_uniform(1e-300, 1.0 - 2.0**-53))
+    # where 1/sigma**2 - 1/(sigma_x**2 + sigma**2) has lost half its digits
+    @example(sigma=9.08e3, alpha=0.67)
+    # where 2*pi*(sigma_x**2 + sigma**2) overflows
+    @example(sigma=5.3e153, alpha=0.05)
+    @example(sigma=5.4e153, alpha=0.05)
+    # where (sigma_x**2 + sigma**2) / sigma**2 overflows
+    @example(sigma=math.sqrt(20.0) / 1.3e154, alpha=0.05)
+    @example(sigma=math.sqrt(20.0) / 1.4e154, alpha=0.05)
+    def test_within_rounding_of_the_closed_forms(self, sigma, alpha):
+        alpha = min(alpha, 1.0 - 2.0**-53)
+        prior = BernoulliGaussianPrior(alpha)
+        levels = _Levels(prior, sigma)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            v = Decimal(sigma) ** 2
+            s2 = Decimal(prior.sigma_x) ** 2 + v
+            curvature = Decimal(prior.sigma_x) ** 2 / (v * s2)
+            log_slab_norm = ((2 * PI).ln() + s2.ln()) / 2
+            log_prior_odds = (1 - Decimal(alpha)).ln() - Decimal(alpha).ln()
+            half_log_ratio = (s2 / v).ln() / 2
+            gap0 = log_prior_odds + half_log_ratio
+        # relative where the reference is a normal float, absolute below that
+        tol = Decimal("1e-15") * curvature if curvature >= Decimal(sys.float_info.min) else Decimal("1e-322")
+        assert abs(Decimal(float(levels.curvature)) - curvature) <= tol
+        scale = max(Decimal(1), abs(log_slab_norm))
+        assert abs(Decimal(float(levels.log_slab_norm)) - log_slab_norm) <= Decimal("1e-15") * scale
+        scale = max(Decimal(1), abs(log_prior_odds), abs(half_log_ratio))
+        assert abs(Decimal(float(levels.gap0)) - gap0) <= Decimal("1e-15") * scale
 
 
 class TestLevelRule:
