@@ -32,7 +32,6 @@ from .prior import (
 )
 from .solvers import (
     SolverTrace,
-    TraceOptions,
     gamp,
     lasso_ista,
     mm_surrogate,
@@ -50,7 +49,6 @@ __all__ = [
     "NumericalFailureError",
     "ProblemInstance",
     "SolverTrace",
-    "TraceOptions",
     "build_instance",
     "calibrate_noise_sigma",
     "data_fidelity",

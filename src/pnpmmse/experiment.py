@@ -32,11 +32,9 @@ from .linear_model import (
     data_fidelity,
     generate_operator,
     grad_data_fidelity,
-    snr_db,
 )
 from .prior import BernoulliGaussianPrior, _usable_level, marginal_density, sample_signal
 from .solvers import (
-    TraceOptions,
     _ista,
     _lasso_group,
     _pnp_group,
@@ -266,29 +264,27 @@ def _best_final_snr(grid, traces):
 def _run_trial(config: ExperimentConfig, rate_index: int, trial: int, pnp_objective: bool) -> TrialOutcome:
     """One ISTA block over the tuned solvers' grids, then message passing.
 
-    The LASSO grid records its SNR and objective at every iteration, and
-    so does every denoiser level with ``pnp_objective``; no CSV reads a
-    gradient norm.  Without it the trial is a sweep cell, which reads only
-    each level's final SNR, so the denoiser levels record only their SNR,
-    at the start and the last iteration.
+    Every run records its SNR at every iteration.  The LASSO grid also
+    records its objective, and so does every denoiser level with
+    ``pnp_objective``, together with its gradient norm, which no CSV
+    reads.  Without it the trial is a sweep cell, which reads only each
+    level's final SNR, so the denoiser levels record only their SNR.
     """
     outcome = TrialOutcome(rate_index, trial)
     try:
         problem = make_problem(config, rate_index, trial)
         prior = BernoulliGaussianPrior(config.alpha)
         gamma, override = _resolve_gamma(config, problem.operator)
-        traced = TraceOptions(objective=True, gradient=False)
 
         # each tuned solver's grid is one run group of a single ISTA block
         grids = {}
         if "pnp" in config.solvers:
-            ends_only = TraceOptions(objective=False, gradient=False, interval=config.max_iter)
-            group = _pnp_group(prior, config.sigma_grid, gamma, traced if pnp_objective else ends_only)
+            group = _pnp_group(prior, config.sigma_grid, gamma, pnp_objective)
             grids["pnp"] = ("sigma", config.sigma_grid, group)
         if "lasso" in config.solvers:
             lam_scale = float(np.max(np.abs(problem.operator.adjoint(problem.y))))
             lams = [rel * lam_scale for rel in config.lambda_grid]
-            group = _lasso_group(lams, gamma, traced)
+            group = _lasso_group(lams, gamma, objective=True)
             grids["lasso"] = ("lambda", lams, group)
         if grids:
             blocks = _ista(problem, gamma, [group for _, _, group in grids.values()], config.max_iter, override)
@@ -695,13 +691,7 @@ def run_validation_suite(config: ExperimentConfig) -> ValidationReport:
         gamma, override = _resolve_gamma(config, problem.operator)
         if override:
             return "SKIP", "explicit gamma exceeds 1/L; descent is not guaranteed"
-        trace = pnp_ista(
-            problem,
-            MmseDenoiser(prior, 0.3),
-            gamma,
-            max_iter=150,
-            trace=TraceOptions(objective=True, gradient=False),
-        )
+        trace = pnp_ista(problem, MmseDenoiser(prior, 0.3), gamma, max_iter=150)
         diffs = np.diff(trace.objective)
         worst = float(np.max(diffs)) if len(diffs) else 0.0
         ok = np.all(diffs <= tol * abs(trace.objective[0]))

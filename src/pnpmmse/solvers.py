@@ -16,7 +16,7 @@ gradient costs one ``op.normal`` product for the whole block.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .linear_model import (
 from .prior import BernoulliGaussianPrior, _Levels
 
 __all__ = [
-    "TraceOptions",
     "SolverTrace",
     "pnp_ista",
     "soft_threshold",
@@ -47,35 +46,14 @@ __all__ = [
 MONOTONE_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class TraceOptions:
-    """What to record along a run and how often.
-
-    The SNR against the problem's ``x_true`` is recorded at every record.
-    Objective and gradient tracing evaluate the regularizer at every
-    record; for PnP-ISTA that is a few elementwise passes over the block,
-    reading the log density's one transcendental term from what the
-    denoising step left behind: no inversion and no second log-density
-    evaluation.  Sweeps that only need SNR can switch them off.
-    """
-
-    objective: bool = True
-    gradient: bool = True
-    interval: int = 1
-
-    def __post_init__(self):
-        if self.interval < 1:
-            raise ValueError("trace interval must be >= 1")
-
-
 @dataclass
 class SolverTrace:
     """Per-iteration records plus the final iterate.
 
     ``objective`` and ``grad_norm`` are ``None`` for solvers that do not
     minimize an explicit objective (message passing) or do not track the
-    quantity.  ``iterations`` holds the iteration numbers the records
-    correspond to, always starting at 0.  ``stop_reason`` says why the run
+    quantity.  Every solver records every iteration, so ``iterations`` is
+    ``0, 1, ..., iterations_run``.  ``stop_reason`` says why the run
     ended at ``iterations_run``: ``"max_iter"`` (the budget ran out; ISTA
     always stops so) or ``"fixed_point"`` (message passing stopped changing).
     """
@@ -96,36 +74,32 @@ class SolverTrace:
 
 @dataclass
 class _Recorder:
-    options: TraceOptions
-    iterations: list = field(default_factory=list)
+    """One record per iteration; a quantity never recorded stays an empty list."""
+
     objective: list = field(default_factory=list)
     grad_norm: list = field(default_factory=list)
     snr: list = field(default_factory=list)
     # the descent check's per-run slack, fixed by the first objective record
     slack: np.ndarray | None = None
 
-    def due(self, t: int, max_iter: int) -> bool:
-        return t % self.options.interval == 0 or t == max_iter
-
     def build(
         self, x: np.ndarray, t: int, stop_reason: str = "max_iter", run: int | None = None
     ) -> SolverTrace:
         """Trace of one run; ``run`` picks one run of a block's records."""
-        opts = self.options
 
-        def series(values, enabled):
-            if not (enabled and values):
+        def series(values):
+            if not values:
                 return None
             values = np.asarray(values)
             return values if run is None else values[:, run]
 
         return SolverTrace(
-            iterations=np.asarray(self.iterations, dtype=int),
+            iterations=np.arange(t + 1),
             final_iterate=x,
             iterations_run=t,
-            objective=series(self.objective, opts.objective),
-            grad_norm=series(self.grad_norm, opts.gradient),
-            snr_db=series(self.snr, True),
+            objective=series(self.objective),
+            grad_norm=series(self.grad_norm),
+            snr_db=series(self.snr),
             stop_reason=stop_reason,
         )
 
@@ -150,17 +124,18 @@ class _RunGroup:
 
     ``prox(Z, X)`` writes the prox of the group's ``width x n`` slice ``Z``
     of pre-denoise iterates into ``X``, so each run may carry its own
-    parameter.  ``penalty(X, Z, gradient)`` returns the per-run regularizer
-    values at ``X = prox(Z)``, with ``Z`` the last slice the prox took, and
-    their gradients if ``gradient`` is set, else ``None``.  The penalty may
+    parameter.  ``penalty(X, Z)`` returns the per-run regularizer values at
+    ``X = prox(Z)``, with ``Z`` the last slice the prox took, and their
+    gradients, or ``None`` for a penalty with no gradient.  The penalty may
     read what that prox call left behind, so a group serves one block at a
-    time.
+    time.  ``objective`` says whether the group records its objective, and
+    with it the gradient norm where the penalty has a gradient.
     """
 
     prox: Callable[[np.ndarray, np.ndarray], object]
-    penalty: Callable[[np.ndarray, np.ndarray, bool], tuple]
+    penalty: Callable[[np.ndarray, np.ndarray], tuple]
     width: int
-    trace: TraceOptions
+    objective: bool
 
 
 def _ista(problem, gamma, groups, max_iter, allow_large_step):
@@ -172,16 +147,16 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
     for every group at once from one ``op.normal`` product per iteration.  It
     serves both the record (fidelity, gradient ``G + grad h``) and the next
     step: each run's fidelity ``0.5 * |y - H x|^2`` is read from it as
-    ``0.5 * (x^T g - (H^T y)^T x + |y|^2)``, once for the whole block at a
-    record where any group traces its objective.  Each group records what
-    its own ``TraceOptions`` asks for; its penalty runs only when the
-    objective or the gradient is traced, and forms the gradient only when
-    that is.  Measurements whose ``|y|^2`` or ``H^T y`` overflow, and a run
-    that turns non-finite or records a non-finite objective, gradient norm
-    or SNR, or breaks descent, fail the whole block with a
-    :class:`NumericalFailureError` naming the iteration; otherwise the
-    block runs all ``max_iter`` iterations.  Returns one list of traces per
-    group, in order.
+    ``0.5 * (x^T g - (H^T y)^T x + |y|^2)``, once for the whole block per
+    record when any group traces its objective.  Every group records its
+    SNR at every iteration; a group that traces its objective runs its
+    penalty there too and records the objective and, where the penalty
+    has a gradient, the gradient norm.  Measurements whose ``|y|^2`` or
+    ``H^T y`` overflow, and a run that turns non-finite or records a
+    non-finite objective, gradient norm or SNR, or breaks descent, fail
+    the whole block with a :class:`NumericalFailureError` naming the
+    iteration; otherwise the block runs all ``max_iter`` iterations.
+    Returns one list of traces per group, in order.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -196,7 +171,8 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
     operator, y = problem.operator, problem.y
     edges = np.cumsum([0] + [group.width for group in groups])
     rows = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    recs = [_Recorder(group.trace) for group in groups]
+    recs = [_Recorder() for _ in groups]
+    traced = any(group.objective for group in groups)
     x = np.zeros((edges[-1], problem.n))
     # each record's SNR reads x_true's energy once per block and forms its errors in one buffer
     err_block = np.empty_like(x)
@@ -208,15 +184,12 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
         return g
 
     def record(t, z, g):
-        due = [(rec, group, r) for rec, group, r in zip(recs, groups, rows) if rec.due(t, max_iter)]
-        if any(rec.options.objective for rec, _, _ in due):
+        if traced:
             fidelity = 0.5 * (np.einsum("ij,ij->i", x, g) - x @ hty + y_energy)
-        for rec, group, r in due:
-            opts, xr = rec.options, x[r]
-            if opts.objective or opts.gradient:
-                h_val, h_grad = group.penalty(xr, z[r], opts.gradient)
-            rec.iterations.append(t)
-            if opts.objective:
+        for rec, group, r in zip(recs, groups, rows):
+            xr = x[r]
+            if group.objective:
+                h_val, h_grad = group.penalty(xr, z[r])
                 f = fidelity[r] + h_val
                 _require_finite(f, t, "objective")
                 if rec.slack is None:
@@ -231,10 +204,10 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
                             iteration=t,
                         )
                 rec.objective.append(f)
-            if opts.gradient:
-                grad_norm = np.linalg.norm(g[r] + h_grad, axis=1)
-                _require_finite(grad_norm, t, "gradient norm")
-                rec.grad_norm.append(grad_norm)
+                if h_grad is not None:
+                    grad_norm = np.linalg.norm(g[r] + h_grad, axis=1)
+                    _require_finite(grad_norm, t, "gradient norm")
+                    rec.grad_norm.append(grad_norm)
             err = np.subtract(xr, problem.x_true, out=err_block[r])
             snr = _capped_snr_db(ref_energy, np.einsum("ij,ij->i", err, err))
             _require_finite(snr, t, "SNR")
@@ -270,7 +243,7 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
     return [[rec.build(xj.copy(), max_iter, run=j) for j, xj in enumerate(x[r])] for rec, r in zip(recs, rows)]
 
 
-def _pnp_group(prior, sigmas, gamma, trace):
+def _pnp_group(prior, sigmas, gamma, objective):
     """PnP-ISTA runs, one denoiser level per row.
 
     The prox is the posterior mean, which leaves ``1 + e**gap`` behind;
@@ -285,15 +258,14 @@ def _pnp_group(prior, sigmas, gamma, trace):
         spread = np.empty_like(z)
         levels.mean_into(z, out, spread)
 
-    def penalty(x, z, gradient):
-        value = np.sum(levels.regularizer_terms(gamma, x, z, spread), axis=1)
-        return value, ((z - x) / gamma if gradient else None)
+    def penalty(x, z):
+        return np.sum(levels.regularizer_terms(gamma, x, z, spread), axis=1), (z - x) / gamma
 
-    return _RunGroup(prox, penalty, len(sigmas), trace)
+    return _RunGroup(prox, penalty, len(sigmas), objective)
 
 
-def _lasso_group(lams, gamma, trace):
-    """LASSO-ISTA runs, one weight per row; no gradient is traced."""
+def _lasso_group(lams, gamma, objective):
+    """LASSO-ISTA runs, one weight per row; the l1 penalty has no gradient to trace."""
     for lam in lams:
         if not lam > 0.0:
             raise ValueError(f"lam must be positive, got {lam}")
@@ -304,9 +276,9 @@ def _lasso_group(lams, gamma, trace):
 
     return _RunGroup(
         lambda z, out: _shrink_into(z, tau_col, out),
-        lambda x, z, gradient: (lam_row * np.sum(np.abs(x), axis=1), None),
+        lambda x, z: (lam_row * np.sum(np.abs(x), axis=1), None),
         len(lam_row),
-        replace(trace, gradient=False),
+        objective,
     )
 
 
@@ -315,8 +287,8 @@ def pnp_ista(
     denoiser: MmseDenoiser,
     gamma: float,
     max_iter: int = 500,
-    trace: TraceOptions = TraceOptions(),
     *,
+    objective: bool = True,
     allow_large_step: bool = False,
 ) -> SolverTrace:
     """Gradient step on the fidelity followed by the MMSE denoiser, ``max_iter`` times.
@@ -326,7 +298,8 @@ def pnp_ista(
     traced objective (fidelity plus induced regularizer at this ``gamma``)
     is checked to be nonincreasing at every record and the run aborts with
     a numerical failure if it is not; ``allow_large_step=True`` skips both
-    the step-size check and that assertion.  A fully traced
+    the step-size check and that assertion.  The SNR is recorded at every
+    iteration; ``objective=False`` records nothing else.  A traced
     run costs one ``op.normal`` product per iteration, plus a few
     elementwise passes at each record: the fidelity and its gradient come
     from the product the next step needs anyway, and the regularizer is
@@ -334,7 +307,7 @@ def pnp_ista(
     pre-image, from the ``1 + e**gap`` block the denoising step left
     behind, so no inversion and no second log-density evaluation runs.
     """
-    group = _pnp_group(denoiser.prior, (denoiser.sigma,), gamma, trace)
+    group = _pnp_group(denoiser.prior, (denoiser.sigma,), gamma, objective)
     return _ista(problem, gamma, [group], max_iter, allow_large_step)[0][0]
 
 
@@ -369,17 +342,18 @@ def lasso_ista(
     lam: float,
     gamma: float,
     max_iter: int = 500,
-    trace: TraceOptions = TraceOptions(objective=True, gradient=False),
     *,
+    objective: bool = True,
     allow_large_step: bool = False,
 ) -> SolverTrace:
     """ISTA on the l1-regularized least-squares objective.
 
     The proximal step is the componentwise soft threshold at ``gamma*lam``;
     the traced objective is ``0.5*|y - Hx|^2 + lam*|x|_1`` and is checked
-    to be nonincreasing under a valid step size.  No gradient is traced.
+    to be nonincreasing under a valid step size; ``objective=False``
+    records only the SNR.  No gradient is traced.
     """
-    return _ista(problem, gamma, [_lasso_group((lam,), gamma, trace)], max_iter, allow_large_step)[0][0]
+    return _ista(problem, gamma, [_lasso_group((lam,), gamma, objective)], max_iter, allow_large_step)[0][0]
 
 
 _GAMP_SLOPE_EPS = 1e-12
@@ -450,8 +424,7 @@ def gamp(
     r_prior = np.zeros(problem.n)
     prec_prior = 1.0 / prior.variance
 
-    rec = _Recorder(TraceOptions(objective=False, gradient=False))
-    rec.iterations.append(0)
+    rec = _Recorder()
     rec.snr.append(snr_db(x_hat, problem.x_true))
 
     stop_reason = "max_iter"
@@ -478,7 +451,6 @@ def gamp(
         prec_prior = _GAMP_DAMPING * prec_new + (1.0 - _GAMP_DAMPING) * prec_prior
         r_prior = _GAMP_DAMPING * r_new + (1.0 - _GAMP_DAMPING) * r_prior
 
-        rec.iterations.append(t)
         # an estimate far from the signal overflows the error energy: -inf dB, rejected here
         with np.errstate(over="ignore"):
             current = snr_db(x_hat, problem.x_true)

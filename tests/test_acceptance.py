@@ -29,7 +29,6 @@ from pnpmmse import (
     InducedRegularizer,
     MeasurementOperator,
     MmseDenoiser,
-    TraceOptions,
     build_instance,
     data_fidelity,
     gamp,
@@ -58,7 +57,6 @@ DENOISER_SETTINGS = [
 SHARED_SETTING = dict(
     seed=20240817, n=1024, measurement_rates=(0.8,), alpha=0.2, input_snr_db=20.0, trials=20
 )
-SNR_ONLY = TraceOptions(objective=False, gradient=False)
 
 
 def report(num, name, detail):
@@ -102,7 +100,7 @@ def tuned_lasso(shared_instances):
     for problem, gamma in shared_instances:
         lam_scale = float(np.max(np.abs(problem.operator.adjoint(problem.y))))
         lams = np.geomspace(1e-4, 1.0, 15) * lam_scale
-        [traces] = _ista(problem, gamma, [_lasso_group(lams, gamma, SNR_ONLY)], 500, False)
+        [traces] = _ista(problem, gamma, [_lasso_group(lams, gamma, False)], 500, False)
         best.append(max(traces, key=lambda trace: trace.snr_db[-1]))
     return best
 
@@ -113,7 +111,7 @@ def tuned_finals(shared_instances, tuned_lasso):
     pnp_scores = []
     for problem, gamma in shared_instances:
         sigmas = np.geomspace(0.01, 0.37, 9)
-        [traces] = _ista(problem, gamma, [_pnp_group(prior, sigmas, gamma, SNR_ONLY)], 500, False)
+        [traces] = _ista(problem, gamma, [_pnp_group(prior, sigmas, gamma, False)], 500, False)
         pnp_scores.append(max(trace.snr_db[-1] for trace in traces))
     return np.array(pnp_scores), np.array([trace.snr_db[-1] for trace in tuned_lasso])
 

@@ -17,7 +17,6 @@ from pnpmmse import (
     ConfigurationError,
     InducedRegularizer,
     MmseDenoiser,
-    TraceOptions,
     data_fidelity,
     experiment,
     lasso_ista,
@@ -189,25 +188,18 @@ class TestBatchedGridSearch:
         gamma, _ = experiment._resolve_gamma(config, problem.operator)
         lam_scale = float(np.max(np.abs(problem.operator.adjoint(problem.y))))
         lams = [rel * lam_scale for rel in config.lambda_grid]
-        full = TraceOptions()
-        with_objective = TraceOptions(objective=True, gradient=False)
         [pnp_block] = solvers._ista(
-            problem, gamma, [solvers._pnp_group(prior, config.sigma_grid, gamma, full)], config.max_iter, False
+            problem, gamma, [solvers._pnp_group(prior, config.sigma_grid, gamma, True)], config.max_iter, False
         )
-        pnp_single = [
-            pnp_ista(problem, MmseDenoiser(prior, s), gamma, config.max_iter, full)
-            for s in config.sigma_grid
-        ]
+        pnp_single = [pnp_ista(problem, MmseDenoiser(prior, s), gamma, config.max_iter) for s in config.sigma_grid]
         [lasso_block] = solvers._ista(
-            problem, gamma, [solvers._lasso_group(lams, gamma, with_objective)], config.max_iter, False
+            problem, gamma, [solvers._lasso_group(lams, gamma, True)], config.max_iter, False
         )
-        lasso_single = [
-            lasso_ista(problem, lam, gamma, config.max_iter, with_objective) for lam in lams
-        ]
+        lasso_single = [lasso_ista(problem, lam, gamma, config.max_iter) for lam in lams]
         # both grids as the two column groups of one block, as a trial runs them
         groups = [
-            solvers._pnp_group(prior, config.sigma_grid, gamma, full),
-            solvers._lasso_group(lams, gamma, with_objective),
+            solvers._pnp_group(prior, config.sigma_grid, gamma, True),
+            solvers._lasso_group(lams, gamma, True),
         ]
         pnp_joint, lasso_joint = solvers._ista(problem, gamma, groups, config.max_iter, False)
         for block, single in [
@@ -299,13 +291,21 @@ class TestBatchedGridSearch:
         assert len(grams_formed) == int(gram_route)
         assert decomposed == [(m, m)]
         assert single_runs == []
-        assert outcome.traces["pnp"].grad_norm is None
         return outcome
 
     def test_both_grids_share_each_matrix_product(self, monkeypatch):
         config = tiny_config(measurement_rates=(0.3,), solvers=("pnp", "lasso"))
         outcome = self.run_counted_trial(monkeypatch, config, pnp_objective=False)
-        assert outcome.traces["pnp"].objective is None
+        assert outcome.traces["pnp"].objective is None and outcome.traces["pnp"].grad_norm is None
+
+    def test_sweep_trial_records_every_iteration(self):
+        config = tiny_config(measurement_rates=(0.3,), solvers=("pnp", "lasso"))
+        outcome = experiment._run_trial(config, 0, 0, pnp_objective=False)
+        assert outcome.error is None
+        for solver in ("pnp", "lasso"):
+            trace = outcome.traces[solver]
+            np.testing.assert_array_equal(trace.iterations, np.arange(config.max_iter + 1))
+            assert len(trace.snr_db) == config.max_iter + 1
 
     def test_gram_route_forms_one_gram_per_trial(self, monkeypatch):
         # m = 38 > n/2 = 24
@@ -327,12 +327,26 @@ class TestBatchedGridSearch:
         assert len(trace.objective) == config.max_iter + 1
         assert trace.objective[0] == pytest.approx(start, rel=1e-12)
         assert np.all(np.diff(trace.objective) <= 1e-9 * abs(trace.objective[0]))
+        assert len(trace.grad_norm) == config.max_iter + 1
+        assert np.all(np.isfinite(trace.grad_norm))
+
+    def test_converge_gradient_norm_matches_the_single_run(self):
+        config = tiny_config(measurement_rates=(0.3,), solvers=("pnp", "lasso"))
+        outcome = experiment._run_trial(config, 0, 0, pnp_objective=True)
+        assert outcome.error is None
+        problem = make_problem(config, 0, 0)
+        gamma, _ = experiment._resolve_gamma(config, problem.operator)
+        sigma = outcome.selections["pnp"][1]
+        single = pnp_ista(problem, MmseDenoiser(BernoulliGaussianPrior(config.alpha), sigma), gamma, config.max_iter)
+        block = outcome.traces["pnp"].grad_norm
+        np.testing.assert_allclose(block, single.grad_norm, rtol=1e-9, atol=1e-9 * single.grad_norm[1])
 
     def test_diverging_block_fails_the_trial(self):
         config = tiny_config(measurement_rates=(0.8,), gamma_policy=1e20)
         outcome = experiment._run_trial(config, 0, 0, pnp_objective=False)
-        # the LASSO runs trace their objective at every iteration, and it overflows before the iterate
-        assert re.fullmatch(r"non-finite objective at iteration \d+", outcome.error)
+        # every run records its SNR at every iteration, the denoiser levels first, and the
+        # levels' error energy overflows in the record where the LASSO runs' objective does
+        assert outcome.error == "non-finite SNR at iteration 8"
         assert not outcome.selections
 
 
@@ -539,11 +553,12 @@ class TestCli:
         assert len(failures) == 2
 
     def test_diverged_sweep_cell_is_a_numerical_failure(self, tmp_path, caplog):
-        # every denoiser level's iterate grows to about 1e242 but stays finite, and a
-        # sweep's PnP runs trace no objective: the SNR record at the last iteration is -inf
+        # every denoiser level's iterate grows without bound but stays finite, and a sweep's
+        # PnP runs trace no objective: the SNR record is -inf once the error energy overflows
         argv = ["sweep", "--n", "64", "--trials", "1", "--rates", "0.5,0.6", "--gamma", "0.7", "--solvers", "pnp,gamp"]
         assert main([*argv, "--out", str(tmp_path)]) == 3
-        assert len(re.findall(r"failed: non-finite SNR at iteration 500", caplog.text)) == 2
+        failures = re.findall(r"failed: (non-finite \w+ at iteration \d+)", caplog.text)
+        assert failures == ["non-finite SNR at iteration 317", "non-finite SNR at iteration 408"]
         assert not (tmp_path / "rate_sweep.csv").exists()
 
     @pytest.mark.parametrize("snr", [4000, -4000])

@@ -13,7 +13,6 @@ from scipy.special import expit
 from pnpmmse import (
     BernoulliGaussianPrior,
     MmseDenoiser,
-    TraceOptions,
     marginal_density,
     neg_log_marginal,
     neg_log_marginal_prime,
@@ -52,7 +51,7 @@ LEVEL_TAKERS = {
     "neg_log_marginal_prime": lambda prior, sigma: neg_log_marginal_prime(prior, sigma, Z),
     "neg_log_marginal_second": lambda prior, sigma: neg_log_marginal_second(prior, sigma, Z),
     "marginal_density": lambda prior, sigma: marginal_density(prior, sigma, Z),
-    "_pnp_group": lambda prior, sigma: solvers._pnp_group(prior, [0.1, sigma], 0.5, TraceOptions()),
+    "_pnp_group": lambda prior, sigma: solvers._pnp_group(prior, [0.1, sigma], 0.5, True),
 }
 
 

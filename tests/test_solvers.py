@@ -16,7 +16,6 @@ from pnpmmse import (
     MmseDenoiser,
     NumericalFailureError,
     ProblemInstance,
-    TraceOptions,
     build_instance,
     data_fidelity,
     gamp,
@@ -152,6 +151,16 @@ class TestPnpIsta:
         residual = x - denoiser.denoise(x - gamma * grad_data_fidelity(problem, x))
         assert np.linalg.norm(residual) <= 1e-6 * np.linalg.norm(x)
 
+    def test_record_switch_is_keyword_only(self):
+        # a stale positional trace argument must not silently read as objective=True
+        rng = np.random.default_rng(5)
+        prior, problem = make_problem(rng)
+        gamma = 0.99 / problem.operator.lipschitz.value
+        with pytest.raises(TypeError):
+            pnp_ista(problem, MmseDenoiser(prior, 0.3), gamma, 10, False)
+        with pytest.raises(TypeError):
+            lasso_ista(problem, 0.01, gamma, 10, False)
+
     def test_step_size_guard_and_override(self):
         rng = np.random.default_rng(5)
         prior, problem = make_problem(rng)
@@ -164,7 +173,7 @@ class TestPnpIsta:
             2.0 / lip,
             max_iter=5,
             allow_large_step=True,
-            trace=TraceOptions(objective=False, gradient=False),
+            objective=False,
         )
         assert trace.iterations_run == 5
 
@@ -179,7 +188,7 @@ class TestPnpIsta:
                 gamma=1e6,
                 max_iter=50,
                 allow_large_step=True,
-                trace=TraceOptions(objective=False, gradient=False),
+                objective=False,
             )
         assert info.value.iteration is not None
 
@@ -204,22 +213,14 @@ class TestPnpIsta:
         monkeypatch.setattr(prior_module, "neg_log_marginal", refuse)
         monkeypatch.setattr(denoiser_module, "neg_log_marginal", refuse)
         gamma = 0.99 / problem.operator.lipschitz.value
-        group = solvers._pnp_group(prior, (0.05, 0.2), gamma, TraceOptions())
+        group = solvers._pnp_group(prior, (0.05, 0.2), gamma, True)
         [traces] = solvers._ista(problem, gamma, [group], 20, False)
         assert all(np.all(np.isfinite(trace.objective)) for trace in traces)
 
-    def test_trace_interval_and_density(self):
+    def test_every_iteration_is_recorded(self):
         rng = np.random.default_rng(7)
         prior, problem = make_problem(rng, n=32, m=24)
         lip = problem.operator.lipschitz.value
-        trace = pnp_ista(
-            problem,
-            MmseDenoiser(prior, 0.3),
-            0.99 / lip,
-            max_iter=20,
-            trace=TraceOptions(interval=5),
-        )
-        np.testing.assert_array_equal(trace.iterations, [0, 5, 10, 15, 20])
         dense = pnp_ista(problem, MmseDenoiser(prior, 0.3), 0.99 / lip, max_iter=7)
         np.testing.assert_array_equal(dense.iterations, np.arange(8))
         assert len(dense.objective) == len(dense.grad_norm) == len(dense.snr_db) == 8
@@ -230,8 +231,8 @@ class TestPnpIsta:
         prior, problem = make_problem(rng, n=32, m=24)
         gamma = 0.99 / problem.operator.lipschitz.value
         groups = [
-            solvers._pnp_group(prior, (0.05, 0.3), gamma, TraceOptions()),
-            solvers._lasso_group((0.01, 0.1), gamma, TraceOptions()),
+            solvers._pnp_group(prior, (0.05, 0.3), gamma, True),
+            solvers._lasso_group((0.01, 0.1), gamma, True),
         ]
         for traces in solvers._ista(problem, gamma, groups, 15, False):
             for trace in traces:
@@ -313,7 +314,7 @@ def pnp_block(draw):
 
 
 def run_pnp_group(prior, sigmas, gamma, z):
-    group = solvers._pnp_group(prior, sigmas, gamma, TraceOptions())
+    group = solvers._pnp_group(prior, sigmas, gamma, True)
     x = np.empty_like(z)
     # the block runs its proxes where an overflowing z*z or e**gap is expected and exact
     with np.errstate(over="ignore"):
@@ -346,7 +347,7 @@ class TestRunGroups:
         prior, sigmas, gamma, z = block
         x, penalty = run_pnp_group(prior, sigmas, gamma, z)
         with np.errstate(over="ignore", invalid="ignore"):
-            values, grads = penalty(x, z, True)
+            values, grads = penalty(x, z)
             for sigma, value, grad, xj, zj in zip(sigmas, values, grads, x, z):
                 terms, expected_grad = _induced_terms(prior, sigma, gamma, xj, zj)
                 # the independent route: the prior's own negative log density
@@ -381,16 +382,16 @@ class TestRunGroups:
         z = (magnitude * np.array([1.0, -1.0, 1.0, -1.0]) * (sigma_x + sigma))[None, :]
         x, penalty = run_pnp_group(prior, [sigma], gamma, z)
         value = InducedRegularizer(MmseDenoiser(prior, sigma), gamma).value(x[0])
-        assert abs(penalty(x, z, False)[0][0] - value) <= 1e-12 * max(1.0, abs(value))
+        assert abs(penalty(x, z)[0][0] - value) <= 1e-12 * max(1.0, abs(value))
 
     @pytest.mark.parametrize("sigma", [1e-300, 1e-155, 1e155, math.inf, 0.0, -0.1, math.nan])
     def test_pnp_group_rejects_a_level_without_a_normal_square(self, sigma):
         with pytest.raises(ValueError, match="normal-float square"):
-            solvers._pnp_group(BernoulliGaussianPrior(0.2), [0.1, sigma], 0.5, TraceOptions())
+            solvers._pnp_group(BernoulliGaussianPrior(0.2), [0.1, sigma], 0.5, True)
 
     def test_pnp_group_accepts_the_extreme_normal_levels(self):
         for sigma in (1.5e-154, 1.3e154):
-            assert solvers._pnp_group(BernoulliGaussianPrior(0.2), [sigma], 0.5, TraceOptions()).width == 1
+            assert solvers._pnp_group(BernoulliGaussianPrior(0.2), [sigma], 0.5, True).width == 1
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -410,7 +411,7 @@ class TestRunGroups:
             ties = data.draw(arrays(np.bool_, z.shape))
             z = np.where(ties, np.where(z >= 0.0, tau, -tau), z)
         x = np.empty_like(z)
-        solvers._lasso_group(lams, gamma, TraceOptions()).prox(z, x)
+        solvers._lasso_group(lams, gamma, True).prox(z, x)
         # the prox and soft_threshold share one kernel: the same bits
         np.testing.assert_array_equal(x.view(np.int64), soft_threshold(z, tau).view(np.int64))
         expected = sign_max_soft_threshold(z, tau)
@@ -506,7 +507,7 @@ class TestGamp:
                     MmseDenoiser(prior, sigma),
                     0.99 / lip,
                     max_iter=300,
-                    trace=TraceOptions(objective=False, gradient=False),
+                    objective=False,
                 )
                 best = max(best, trace.snr_db[-1])
             pnp_final.append(best)
