@@ -535,8 +535,8 @@ def _gradient_gap(f, grad, points) -> float:
     return worst
 
 
-def _small_problem(config: ExperimentConfig, n=64, m=48, alpha=0.2):
-    prior = BernoulliGaussianPrior(alpha)
+def _small_problem(config: ExperimentConfig, n=64, m=48):
+    prior = BernoulliGaussianPrior(0.2)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(97,)))
     x_true = _nonzero_signal(prior, n, rng)
     operator = generate_operator(m, n, rng)

@@ -16,7 +16,7 @@ gradient costs one ``op.normal`` product for the whole block.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class SolverTrace:
     always stops so) or ``"fixed_point"`` (message passing stopped changing).
     """
 
-    iterations: np.ndarray
     final_iterate: np.ndarray
     iterations_run: int
     objective: np.ndarray | None = None
@@ -67,41 +66,14 @@ class SolverTrace:
     stop_reason: str = "max_iter"
 
     @property
+    def iterations(self) -> np.ndarray:
+        """The recorded iterations, ``0, 1, ..., iterations_run``."""
+        return np.arange(self.iterations_run + 1)
+
+    @property
     def diverged(self) -> bool:
         """Always ``False``: no run stops as diverged.  ``perfbench/tracing.py`` counts it."""
         return False
-
-
-@dataclass
-class _Recorder:
-    """One record per iteration; a quantity never recorded stays an empty list."""
-
-    objective: list = field(default_factory=list)
-    grad_norm: list = field(default_factory=list)
-    snr: list = field(default_factory=list)
-    # the descent check's per-run slack, fixed by the first objective record
-    slack: np.ndarray | None = None
-
-    def build(
-        self, x: np.ndarray, t: int, stop_reason: str = "max_iter", run: int | None = None
-    ) -> SolverTrace:
-        """Trace of one run; ``run`` picks one run of a block's records."""
-
-        def series(values):
-            if not values:
-                return None
-            values = np.asarray(values)
-            return values if run is None else values[:, run]
-
-        return SolverTrace(
-            iterations=np.arange(t + 1),
-            final_iterate=x,
-            iterations_run=t,
-            objective=series(self.objective),
-            grad_norm=series(self.grad_norm),
-            snr_db=series(self.snr),
-            stop_reason=stop_reason,
-        )
 
 
 def exceeds_step_bound(gamma: float, operator: MeasurementOperator) -> bool:
@@ -120,22 +92,23 @@ def _require_finite(x: np.ndarray, t: int, what: str = "iterate") -> None:
 
 @dataclass(frozen=True)
 class _RunGroup:
-    """Adjacent rows of an ISTA block that share a prox, a penalty and a trace.
+    """Adjacent rows of an ISTA block that share a prox and what they record.
 
     ``prox(Z, X)`` writes the prox of the group's ``width x n`` slice ``Z``
     of pre-denoise iterates into ``X``, so each run may carry its own
-    parameter.  ``penalty(X, Z)`` returns the per-run regularizer values at
-    ``X = prox(Z)``, with ``Z`` the last slice the prox took, and their
-    gradients, or ``None`` for a penalty with no gradient.  The penalty may
-    read what that prox call left behind, so a group serves one block at a
-    time.  ``objective`` says whether the group records its objective, and
-    with it the gradient norm where the penalty has a gradient.
+    parameter.  A group with a ``penalty`` records its objective:
+    ``penalty(X, Z)`` returns the per-run regularizer values at ``X =
+    prox(Z)``, with ``Z`` the last slice the prox took.  A group with a
+    penalty and a ``gradient`` also records its gradient norm:
+    ``gradient(X, Z)`` returns the regularizer's gradient at the same
+    iterates.  Both may read what that prox call left behind, so a group
+    serves one block at a time.  A group with neither records only its SNR.
     """
 
     prox: Callable[[np.ndarray, np.ndarray], object]
-    penalty: Callable[[np.ndarray, np.ndarray], tuple]
     width: int
-    objective: bool
+    penalty: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    gradient: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def _ista(problem, gamma, groups, max_iter, allow_large_step):
@@ -148,15 +121,17 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
     serves both the record (fidelity, gradient ``G + grad h``) and the next
     step: each run's fidelity ``0.5 * |y - H x|^2`` is read from it as
     ``0.5 * (x^T g - (H^T y)^T x + |y|^2)``, once for the whole block per
-    record when any group traces its objective.  Every group records its
-    SNR at every iteration; a group that traces its objective runs its
-    penalty there too and records the objective and, where the penalty
-    has a gradient, the gradient norm.  Measurements whose ``|y|^2`` or
-    ``H^T y`` overflow, and a run that turns non-finite or records a
-    non-finite objective, gradient norm or SNR, or breaks descent, fail
-    the whole block with a :class:`NumericalFailureError` naming the
-    iteration; otherwise the block runs all ``max_iter`` iterations.
-    Returns one list of traces per group, in order.
+    record when any group has a penalty.  Every run records its SNR at
+    every iteration, all runs' in one pass over the block; a group with a
+    penalty records its objective there too and, with a gradient, its
+    gradient norm.  Each group records each quantity into one ``(max_iter
+    + 1) x width`` array, written a row per record, and each returned
+    trace's series is its run's column.  Measurements whose
+    ``|y|^2`` or ``H^T y`` overflow, and a run that turns non-finite or
+    records a non-finite SNR, objective or gradient norm, or breaks
+    descent, fail the whole block with a :class:`NumericalFailureError`
+    naming the iteration; otherwise the block runs all ``max_iter``
+    iterations.  Returns one list of traces per group, in order.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -171,12 +146,22 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
     operator, y = problem.operator, problem.y
     edges = np.cumsum([0] + [group.width for group in groups])
     rows = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    recs = [_Recorder() for _ in groups]
-    traced = any(group.objective for group in groups)
     x = np.zeros((edges[-1], problem.n))
     # each record's SNR reads x_true's energy once per block and forms its errors in one buffer
-    err_block = np.empty_like(x)
+    err = np.empty_like(x)
     ref_energy = _reference_energy(problem.x_true)
+
+    # one array per group and quantity, one row per record and one column per
+    # run, so a trace kept from one group holds no other group's records
+    def series(group, recorded):
+        return np.empty((max_iter + 1, group.width)) if recorded else None
+
+    snr = [series(group, True) for group in groups]
+    objective = [series(group, group.penalty is not None) for group in groups]
+    grad_norm = [series(group, group.penalty is not None and group.gradient is not None) for group in groups]
+    traced = any(f is not None for f in objective)
+    # the descent check's per-run slack, fixed by the first objective record
+    slack = np.empty(len(x))
 
     def gradient(x):
         g = operator.normal(x)
@@ -184,40 +169,37 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
         return g
 
     def record(t, z, g):
+        np.subtract(x, problem.x_true, out=err)
+        block_snr = _capped_snr_db(ref_energy, np.einsum("ij,ij->i", err, err))
+        _require_finite(block_snr, t, "SNR")
         if traced:
             fidelity = 0.5 * (np.einsum("ij,ij->i", x, g) - x @ hty + y_energy)
-        for rec, group, r in zip(recs, groups, rows):
-            xr = x[r]
-            if group.objective:
-                h_val, h_grad = group.penalty(xr, z[r])
-                f = fidelity[r] + h_val
-                _require_finite(f, t, "objective")
-                if rec.slack is None:
-                    rec.slack = MONOTONE_RTOL * np.maximum(np.abs(f), 1e-300)
-                elif not allow_large_step:
-                    f_prev = rec.objective[-1]
-                    rises = np.flatnonzero(f > f_prev + rec.slack)
-                    if rises.size:
-                        j = rises[0]
-                        raise NumericalFailureError(
-                            f"objective increased at iteration {t}: {float(f_prev[j])} -> {float(f[j])}",
-                            iteration=t,
-                        )
-                rec.objective.append(f)
-                if h_grad is not None:
-                    grad_norm = np.linalg.norm(g[r] + h_grad, axis=1)
-                    _require_finite(grad_norm, t, "gradient norm")
-                    rec.grad_norm.append(grad_norm)
-            err = np.subtract(xr, problem.x_true, out=err_block[r])
-            snr = _capped_snr_db(ref_energy, np.einsum("ij,ij->i", err, err))
-            _require_finite(snr, t, "SNR")
-            rec.snr.append(snr)
+        for i, (group, r) in enumerate(zip(groups, rows)):
+            snr[i][t] = block_snr[r]
+            if objective[i] is None:
+                continue
+            f = np.add(fidelity[r], group.penalty(x[r], z[r]), out=objective[i][t])
+            _require_finite(f, t, "objective")
+            if t == 0:
+                slack[r] = MONOTONE_RTOL * np.maximum(np.abs(f), 1e-300)
+            elif not allow_large_step:
+                f_prev = objective[i][t - 1]
+                rises = np.flatnonzero(f > f_prev + slack[r])
+                if rises.size:
+                    j = rises[0]
+                    raise NumericalFailureError(
+                        f"objective increased at iteration {t}: {float(f_prev[j])} -> {float(f[j])}",
+                        iteration=t,
+                    )
+            if grad_norm[i] is not None:
+                grad_norm[i][t] = np.linalg.norm(g[r] + group.gradient(x[r], z[r]), axis=1)
+                _require_finite(grad_norm[i][t], t, "gradient norm")
 
     # A step too large for the problem, or measurements too large for their
     # energy, overflow in here, and each value they make non-finite is
     # rejected before anything keeps it: the measurement terms at once, the
     # iterate (and with it the step) by its step's check, the gradient by the
-    # next step's, and the traced objective, gradient norm and SNR by
+    # next step's, and the recorded SNR, objective and gradient norm by
     # ``record``.
     with np.errstate(over="ignore", invalid="ignore"):
         hty, y_energy = operator.adjoint(y), float(y @ y)
@@ -240,11 +222,18 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
             _require_finite(x, t)
             g = gradient(x)
             record(t, z, g)
-    return [[rec.build(xj.copy(), max_iter, run=j) for j, xj in enumerate(x[r])] for rec, r in zip(recs, rows)]
+
+    def column(records, j):
+        return None if records is None else records[:, j]
+
+    return [
+        [SolverTrace(xj.copy(), max_iter, column(f, j), column(gn, j), s[:, j]) for j, xj in enumerate(x[r])]
+        for r, s, f, gn in zip(rows, snr, objective, grad_norm)
+    ]
 
 
 def _pnp_group(prior, sigmas, gamma, objective):
-    """PnP-ISTA runs, one denoiser level per row.
+    """PnP-ISTA runs, one denoiser level per row; ``objective`` records it and its gradient norm.
 
     The prox is the posterior mean, which leaves ``1 + e**gap`` behind;
     the penalty at the same iterates reads the log density from there.
@@ -259,13 +248,15 @@ def _pnp_group(prior, sigmas, gamma, objective):
         levels.mean_into(z, out, spread)
 
     def penalty(x, z):
-        return np.sum(levels.regularizer_terms(gamma, x, z, spread), axis=1), (z - x) / gamma
+        return np.sum(levels.regularizer_terms(gamma, x, z, spread), axis=1)
 
-    return _RunGroup(prox, penalty, len(sigmas), objective)
+    if not objective:
+        return _RunGroup(prox, len(sigmas))
+    return _RunGroup(prox, len(sigmas), penalty, lambda x, z: (z - x) / gamma)
 
 
 def _lasso_group(lams, gamma, objective):
-    """LASSO-ISTA runs, one weight per row; the l1 penalty has no gradient to trace."""
+    """LASSO-ISTA runs, one weight per row; ``objective`` records it, but the l1 penalty has no gradient."""
     for lam in lams:
         if not lam > 0.0:
             raise ValueError(f"lam must be positive, got {lam}")
@@ -274,12 +265,8 @@ def _lasso_group(lams, gamma, objective):
     with np.errstate(over="ignore"):
         tau_col = gamma * lam_row[:, None]
 
-    return _RunGroup(
-        lambda z, out: _shrink_into(z, tau_col, out),
-        lambda x, z: (lam_row * np.sum(np.abs(x), axis=1), None),
-        len(lam_row),
-        objective,
-    )
+    penalty = (lambda x, z: lam_row * np.sum(np.abs(x), axis=1)) if objective else None
+    return _RunGroup(lambda z, out: _shrink_into(z, tau_col, out), len(lam_row), penalty)
 
 
 def pnp_ista(
@@ -424,8 +411,7 @@ def gamp(
     r_prior = np.zeros(problem.n)
     prec_prior = 1.0 / prior.variance
 
-    rec = _Recorder()
-    rec.snr.append(snr_db(x_hat, problem.x_true))
+    snrs = [snr_db(x_hat, problem.x_true)]
 
     stop_reason = "max_iter"
     t = 0
@@ -455,12 +441,12 @@ def gamp(
         with np.errstate(over="ignore"):
             current = snr_db(x_hat, problem.x_true)
         _require_finite(current, t, "SNR")
-        rec.snr.append(current)
+        snrs.append(current)
         scale = float(np.max(np.abs(x_hat)))
         if scale > 0.0 and float(np.max(np.abs(x_hat - x_prev))) <= _GAMP_FIXED_POINT_RTOL * scale:
             stop_reason = "fixed_point"
             break
-    return rec.build(x_hat, t, stop_reason)
+    return SolverTrace(x_hat, t, snr_db=np.array(snrs), stop_reason=stop_reason)
 
 
 def mm_surrogate(

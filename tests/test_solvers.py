@@ -1,7 +1,10 @@
 """Solver behavior: descent, fixed points, oracles, and failure modes."""
 
 import dataclasses
+import gc
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,7 +322,7 @@ def run_pnp_group(prior, sigmas, gamma, z):
     # the block runs its proxes where an overflowing z*z or e**gap is expected and exact
     with np.errstate(over="ignore"):
         group.prox(z, x)
-    return x, group.penalty
+    return x, group
 
 
 class TestRunGroups:
@@ -345,9 +348,9 @@ class TestRunGroups:
     @example(block=(BernoulliGaussianPrior(1e-300, 1.0), [1e-10], 0.5, np.array([[0.0, 1e-10, 3e-9, 1e-8, 1.0]])))
     def test_pnp_penalty_is_the_induced_regularizer(self, block):
         prior, sigmas, gamma, z = block
-        x, penalty = run_pnp_group(prior, sigmas, gamma, z)
+        x, group = run_pnp_group(prior, sigmas, gamma, z)
         with np.errstate(over="ignore", invalid="ignore"):
-            values, grads = penalty(x, z)
+            values, grads = group.penalty(x, z), group.gradient(x, z)
             for sigma, value, grad, xj, zj in zip(sigmas, values, grads, x, z):
                 terms, expected_grad = _induced_terms(prior, sigma, gamma, xj, zj)
                 # the independent route: the prior's own negative log density
@@ -380,9 +383,9 @@ class TestRunGroups:
         # as in the denoiser tests, |z| spans 1e-3 to 1e2 * (sigma_x + sigma)
         prior = BernoulliGaussianPrior(alpha, sigma_x)
         z = (magnitude * np.array([1.0, -1.0, 1.0, -1.0]) * (sigma_x + sigma))[None, :]
-        x, penalty = run_pnp_group(prior, [sigma], gamma, z)
+        x, group = run_pnp_group(prior, [sigma], gamma, z)
         value = InducedRegularizer(MmseDenoiser(prior, sigma), gamma).value(x[0])
-        assert abs(penalty(x, z)[0][0] - value) <= 1e-12 * max(1.0, abs(value))
+        assert abs(group.penalty(x, z)[0] - value) <= 1e-12 * max(1.0, abs(value))
 
     @pytest.mark.parametrize("sigma", [1e-300, 1e-155, 1e155, math.inf, 0.0, -0.1, math.nan])
     def test_pnp_group_rejects_a_level_without_a_normal_square(self, sigma):
@@ -420,6 +423,72 @@ class TestRunGroups:
         np.testing.assert_array_equal(x, expected)
         nonzero = expected != 0.0
         np.testing.assert_array_equal(x[nonzero].view(np.int64), expected[nonzero].view(np.int64))
+
+
+def stub_group(penalty=None, gradient=None, width=2):
+    """A run group whose prox is the identity, so its runs are plain gradient descent."""
+    return solvers._RunGroup(lambda z, out: np.copyto(out, z), width, penalty, gradient)
+
+
+def counted(values):
+    """A penalty or gradient returning ``values(call, x)`` on its ``call``-th call, counted from 0."""
+    calls = itertools.count()
+    return lambda x, z: values(next(calls), x)
+
+
+class TestRecords:
+    """The block's record checks, driven through a stub group at n = 16, and the memory its traces hold."""
+
+    @pytest.fixture
+    def problem(self):
+        return make_problem(np.random.default_rng(14), n=16, m=16)[1]
+
+    def run(self, problem, group, allow_large_step=False):
+        gamma = 0.99 / problem.operator.lipschitz.value
+        [traces] = solvers._ista(problem, gamma, [group], 5, allow_large_step)
+        return traces
+
+    def test_rising_objective_fails_unless_the_step_is_allowed_large(self, problem):
+        def rising():
+            return counted(lambda call, x: np.full(len(x), 1e6 * call))
+
+        with pytest.raises(NumericalFailureError, match="objective increased at iteration 1") as info:
+            self.run(problem, stub_group(rising()))
+        assert info.value.iteration == 1
+        for trace in self.run(problem, stub_group(rising()), allow_large_step=True):
+            assert np.all(np.diff(trace.objective) > 0.0)
+
+    def test_non_finite_objective_names_its_iteration(self, problem):
+        penalty = counted(lambda call, x: np.full(len(x), np.nan if call == 2 else 0.0))
+        with pytest.raises(NumericalFailureError, match="non-finite objective at iteration 2") as info:
+            self.run(problem, stub_group(penalty))
+        assert info.value.iteration == 2
+
+    def test_non_finite_gradient_norm_names_its_iteration(self, problem):
+        gradient = counted(lambda call, x: np.full(x.shape, np.inf if call == 3 else 0.0))
+        with pytest.raises(NumericalFailureError, match="non-finite gradient norm at iteration 3") as info:
+            self.run(problem, stub_group(lambda x, z: np.zeros(len(x)), gradient))
+        assert info.value.iteration == 3
+
+    def test_held_record_memory_is_linear_in_the_runs(self, problem):
+        # every trace reads its own column of its group's one array per quantity,
+        # so the traces of K runs hold O(K) records, not K copies of all K runs'
+        gamma = 0.99 / problem.operator.lipschitz.value
+        problem.operator.gram  # formed beforehand: the operator keeps it, not the traces
+
+        def held_bytes(k):
+            group = solvers._lasso_group(np.geomspace(1e-3, 1e-1, k), gamma, True)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                [traces] = solvers._ista(problem, gamma, [group], 500, False)
+                gc.collect()
+                assert len(traces) == k
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        assert held_bytes(16) / held_bytes(4) < 6.0
 
 
 class TestLassoIsta:

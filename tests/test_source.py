@@ -1,4 +1,4 @@
-"""Source hygiene: every name the package imports is used."""
+"""Source hygiene: every name the package imports is used, and every private name it defines is referenced."""
 
 import ast
 from pathlib import Path
@@ -40,3 +40,49 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_package_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants that no module of ``sources`` references.
+
+    ``sources`` maps each module's name to its text.  A private name starts
+    with an underscore; dunders are exempt.  A reference is a read of the
+    name, an attribute of that name, or an import of it.
+    """
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names if name.startswith("_") and not is_dunder(name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return [f"{module}.{name}" for module, name in defined if name not in referenced]
+
+
+def test_unreferenced_privates_are_found():
+    sources = {
+        "a": "def _used(): pass\ndef _dead(): pass\nclass _Gone: pass\n_LIMIT: int = 1\n_SPARE = 2\n__all__ = []\n",
+        "b": "from a import _used\nimport a\n_used()\nprint(a._LIMIT)\n",
+    }
+    assert unreferenced_privates(sources) == ["a._dead", "a._Gone", "a._SPARE"]
+
+
+def test_package_has_no_unreferenced_private_name():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_privates(sources) == []
