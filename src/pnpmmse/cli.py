@@ -115,9 +115,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 raise ConfigurationError("--gamma must be 'auto' or a number") from exc
     if args.out is not None:
         values["output_dir"] = str(args.out)
-    config = ExperimentConfig.from_dict(values)
-    config.validate()
-    return config
+    return ExperimentConfig.from_dict(values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -125,15 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        if args.command == "converge":
-            paths = run_convergence_experiment(config)
-            for name, path in paths.items():
-                print(f"{name}: {path}")
-        elif args.command == "sweep":
-            paths = run_rate_sweep(config)
-            for name, path in paths.items():
-                print(f"{name}: {path}")
-        elif args.command == "validate":
+        if args.command == "validate":
             # an unusable --out fails before the suite runs, not after
             out = make_output_dir(config.output_dir)
             report = run_validation_suite(config)
@@ -143,6 +133,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"report: {path}")
             if not report.passed:
                 return EXIT_VALIDATION_FAILED
+        else:
+            run = run_convergence_experiment if args.command == "converge" else run_rate_sweep
+            for name, path in run(config).items():
+                print(f"{name}: {path}")
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

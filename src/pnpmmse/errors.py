@@ -4,15 +4,7 @@ from __future__ import annotations
 
 
 class NumericalFailureError(RuntimeError):
-    """A solver or root-finder produced a non-finite or inconsistent state.
-
-    ``iteration`` carries the iteration index at which the failure was
-    detected, or ``None`` when the failure is not tied to an iteration.
-    """
-
-    def __init__(self, message: str, iteration: int | None = None):
-        super().__init__(message)
-        self.iteration = iteration
+    """A solver or root-finder produced a non-finite or inconsistent state."""
 
 
 class ConfigurationError(ValueError):

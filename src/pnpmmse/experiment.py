@@ -97,7 +97,8 @@ class ExperimentConfig:
     are absolute denoiser levels.  ``gamma_policy`` is ``"auto"`` for
     0.99 over the estimated Lipschitz constant, or an explicit step size;
     explicit values beyond the guaranteed region are allowed and switch
-    off the in-solver descent assertion.
+    off the in-solver descent assertion.  A config is checked by
+    :meth:`validate` when it is built, so none is ever invalid.
     """
 
     seed: int = 1009
@@ -126,6 +127,7 @@ class ExperimentConfig:
             if not all(_has_type(v, numbers.Real) for v in values):
                 raise ConfigurationError(f"{name} entries must be numbers, got {list(values)!r}")
             object.__setattr__(self, name, tuple(float(v) for v in values))
+        self.validate()
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):
@@ -266,9 +268,9 @@ def _run_trial(config: ExperimentConfig, rate_index: int, trial: int, pnp_object
 
     Every run records its SNR at every iteration.  The LASSO grid also
     records its objective, and so does every denoiser level with
-    ``pnp_objective``, together with its gradient norm, which no CSV
-    reads.  Without it the trial is a sweep cell, which reads only each
-    level's final SNR, so the denoiser levels record only their SNR.
+    ``pnp_objective``, together with its gradient norm.  Without it the
+    trial is a sweep cell, which reads only each level's final SNR, so
+    the denoiser levels record only their SNR.
     """
     outcome = TrialOutcome(rate_index, trial)
     try:
@@ -284,7 +286,7 @@ def _run_trial(config: ExperimentConfig, rate_index: int, trial: int, pnp_object
         if "lasso" in config.solvers:
             lam_scale = float(np.max(np.abs(problem.operator.adjoint(problem.y))))
             lams = [rel * lam_scale for rel in config.lambda_grid]
-            group = _lasso_group(lams, gamma, objective=True)
+            group = _lasso_group(lams, gamma)
             grids["lasso"] = ("lambda", lams, group)
         if grids:
             blocks = _ista(problem, gamma, [group for _, _, group in grids.values()], config.max_iter, override)
@@ -303,6 +305,7 @@ def _run_trial(config: ExperimentConfig, rate_index: int, trial: int, pnp_object
 
 
 def _run_trials(config: ExperimentConfig, rate_indices, pnp_objective: bool) -> list[TrialOutcome]:
+    """Every trial at ``rate_indices`` that succeeded, in task order, if the failures fit the budget."""
     tasks = [(ri, t) for ri in rate_indices for t in range(config.trials)]
 
     def run_one(task):
@@ -315,12 +318,13 @@ def _run_trials(config: ExperimentConfig, rate_indices, pnp_objective: bool) -> 
     else:
         outcomes = [run_one(task) for task in tasks]
 
-    failed = sum(1 for o in outcomes if o.error is not None)
+    ok = [o for o in outcomes if o.error is None]
+    failed = len(tasks) - len(ok)
     if failed / len(tasks) > FAILURE_BUDGET:
         raise NumericalFailureError(
             f"{failed}/{len(tasks)} trials failed numerically, exceeding the {FAILURE_BUDGET:.0%} budget"
         )
-    return outcomes
+    return ok
 
 
 def _held_to_length(values: np.ndarray, length: int) -> np.ndarray:
@@ -345,12 +349,6 @@ def _aggregate_series(series_by_trial) -> list[tuple[float, float, float]]:
     ]
 
 
-def _format_value(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
 def make_output_dir(path: str | Path) -> Path:
     """Create the output directory; a path that cannot be one is a configuration error."""
     out = Path(path)
@@ -365,15 +363,12 @@ def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_value(v) for v in row])
+        writer.writerows(rows)
 
 
 def _selection_rows(config: ExperimentConfig, outcomes: list[TrialOutcome]) -> list[tuple]:
     rows = []
     for outcome in outcomes:
-        if outcome.error is not None:
-            continue
         rate = config.measurement_rates[outcome.rate_index]
         for solver in KNOWN_SOLVERS:
             if solver in outcome.selections:
@@ -392,28 +387,24 @@ def run_convergence_experiment(config: ExperimentConfig) -> dict[str, Path]:
     ``convergence_cost.csv``, ``convergence_snr.csv``, ``selections.csv``
     into ``config.output_dir``.
     """
-    config.validate()
     if "pnp" not in config.solvers:
         raise ConfigurationError("the convergence experiment requires the pnp solver")
     if len(config.measurement_rates) != 1:
         raise ConfigurationError("the convergence experiment uses a single measurement rate")
     out = make_output_dir(config.output_dir)
 
-    outcomes = [o for o in _run_trials(config, [0], pnp_objective=True) if o.error is None]
+    outcomes = _run_trials(config, [0], pnp_objective=True)
 
-    iter_grid = [int(t) for t in outcomes[0].traces["pnp"].iterations]
+    records = config.max_iter + 1
     normalized = [o.traces["pnp"].objective / o.traces["pnp"].objective[0] for o in outcomes]
-    cost_rows = [(t, *stats) for t, stats in zip(iter_grid, _aggregate_series(normalized))]
+    cost_rows = [(t, *stats) for t, stats in enumerate(_aggregate_series(normalized))]
 
-    snr_rows = []
-    for solver in KNOWN_SOLVERS:
-        if solver not in config.solvers:
-            continue
-        series = [
-            _held_to_length(o.traces[solver].snr_db, len(iter_grid)) for o in outcomes
-        ]
-        snr_rows.extend((t, solver, *stats) for t, stats in zip(iter_grid, _aggregate_series(series)))
-    snr_rows.sort(key=lambda row: (row[0], KNOWN_SOLVERS.index(row[1])))
+    enabled = [solver for solver in KNOWN_SOLVERS if solver in config.solvers]
+    snr_stats = {
+        solver: _aggregate_series([_held_to_length(o.traces[solver].snr_db, records) for o in outcomes])
+        for solver in enabled
+    }
+    snr_rows = [(t, solver, *snr_stats[solver][t]) for t in range(records) for solver in enabled]
 
     paths = {
         "cost": out / "convergence_cost.csv",
@@ -435,17 +426,15 @@ def run_rate_sweep(config: ExperimentConfig) -> dict[str, Path]:
     budget.  Emits ``rate_sweep.csv`` and ``selections.csv`` into
     ``config.output_dir``.
     """
-    config.validate()
     if len(config.measurement_rates) < 2:
         raise ConfigurationError("the rate sweep needs at least two measurement rates")
     out = make_output_dir(config.output_dir)
 
     outcomes = _run_trials(config, range(len(config.measurement_rates)), pnp_objective=False)
-    ok = [o for o in outcomes if o.error is None]
 
     rows = []
     for rate_index, rate in enumerate(config.measurement_rates):
-        cell = [o for o in ok if o.rate_index == rate_index]
+        cell = [o for o in outcomes if o.rate_index == rate_index]
         if not cell:
             raise NumericalFailureError(f"every trial at rate {rate} failed numerically")
         for solver in KNOWN_SOLVERS:
@@ -456,7 +445,7 @@ def run_rate_sweep(config: ExperimentConfig) -> dict[str, Path]:
 
     paths = {"rates": out / "rate_sweep.csv", "selections": out / "selections.csv"}
     _write_csv(paths["rates"], RATE_HEADER, rows)
-    _write_csv(paths["selections"], SELECTION_HEADER, _selection_rows(config, ok))
+    _write_csv(paths["selections"], SELECTION_HEADER, _selection_rows(config, outcomes))
     return paths
 
 
@@ -551,7 +540,6 @@ def run_validation_suite(config: ExperimentConfig) -> ValidationReport:
     Failures are results, not exceptions: each check lands in the report as
     PASS, FAIL, or SKIP.
     """
-    config.validate()
     checks: list[CheckResult] = []
 
     def run_check(name, fn):

@@ -87,7 +87,7 @@ def exceeds_step_bound(gamma: float, operator: MeasurementOperator) -> bool:
 
 def _require_finite(x: np.ndarray, t: int, what: str = "iterate") -> None:
     if not np.all(np.isfinite(x)):
-        raise NumericalFailureError(f"non-finite {what} at iteration {t}", iteration=t)
+        raise NumericalFailureError(f"non-finite {what} at iteration {t}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
     penalty records its objective there too and, with a gradient, its
     gradient norm.  Each group records each quantity into one ``(max_iter
     + 1) x width`` array, written a row per record, and each returned
-    trace's series is its run's column.  Measurements whose
+    trace's series is a copy of its run's column.  Measurements whose
     ``|y|^2`` or ``H^T y`` overflow, and a run that turns non-finite or
     records a non-finite SNR, objective or gradient norm, or breaks
     descent, fail the whole block with a :class:`NumericalFailureError`
@@ -151,8 +151,7 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
     err = np.empty_like(x)
     ref_energy = _reference_energy(problem.x_true)
 
-    # one array per group and quantity, one row per record and one column per
-    # run, so a trace kept from one group holds no other group's records
+    # one array per group and quantity, one row per record and one column per run
     def series(group, recorded):
         return np.empty((max_iter + 1, group.width)) if recorded else None
 
@@ -188,8 +187,7 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
                 if rises.size:
                     j = rises[0]
                     raise NumericalFailureError(
-                        f"objective increased at iteration {t}: {float(f_prev[j])} -> {float(f[j])}",
-                        iteration=t,
+                        f"objective increased at iteration {t}: {float(f_prev[j])} -> {float(f[j])}"
                     )
             if grad_norm[i] is not None:
                 grad_norm[i][t] = np.linalg.norm(g[r] + group.gradient(x[r], z[r]), axis=1)
@@ -204,7 +202,7 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
     with np.errstate(over="ignore", invalid="ignore"):
         hty, y_energy = operator.adjoint(y), float(y @ y)
         if not (np.isfinite(y_energy) and np.all(np.isfinite(hty))):
-            raise NumericalFailureError("non-finite measurement terms at iteration 0", iteration=0)
+            raise NumericalFailureError("non-finite measurement terms at iteration 0")
         g = gradient(x)
         # both proxes are odd, so the zero start is its own pre-image; the
         # prox there also leaves what each penalty reads at the first record
@@ -223,11 +221,12 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
             g = gradient(x)
             record(t, z, g)
 
+    # a copy, not a view: a trace kept alone must not hold its group's other runs' records
     def column(records, j):
-        return None if records is None else records[:, j]
+        return None if records is None else records[:, j].copy()
 
     return [
-        [SolverTrace(xj.copy(), max_iter, column(f, j), column(gn, j), s[:, j]) for j, xj in enumerate(x[r])]
+        [SolverTrace(xj.copy(), max_iter, column(f, j), column(gn, j), column(s, j)) for j, xj in enumerate(x[r])]
         for r, s, f, gn in zip(rows, snr, objective, grad_norm)
     ]
 
@@ -255,8 +254,8 @@ def _pnp_group(prior, sigmas, gamma, objective):
     return _RunGroup(prox, len(sigmas), penalty, lambda x, z: (z - x) / gamma)
 
 
-def _lasso_group(lams, gamma, objective):
-    """LASSO-ISTA runs, one weight per row; ``objective`` records it, but the l1 penalty has no gradient."""
+def _lasso_group(lams, gamma):
+    """LASSO-ISTA runs, one weight per row, recording their objective; the l1 penalty has no gradient."""
     for lam in lams:
         if not lam > 0.0:
             raise ValueError(f"lam must be positive, got {lam}")
@@ -265,7 +264,9 @@ def _lasso_group(lams, gamma, objective):
     with np.errstate(over="ignore"):
         tau_col = gamma * lam_row[:, None]
 
-    penalty = (lambda x, z: lam_row * np.sum(np.abs(x), axis=1)) if objective else None
+    def penalty(x, z):
+        return lam_row * np.sum(np.abs(x), axis=1)
+
     return _RunGroup(lambda z, out: _shrink_into(z, tau_col, out), len(lam_row), penalty)
 
 
@@ -275,7 +276,6 @@ def pnp_ista(
     gamma: float,
     max_iter: int = 500,
     *,
-    objective: bool = True,
     allow_large_step: bool = False,
 ) -> SolverTrace:
     """Gradient step on the fidelity followed by the MMSE denoiser, ``max_iter`` times.
@@ -285,16 +285,16 @@ def pnp_ista(
     traced objective (fidelity plus induced regularizer at this ``gamma``)
     is checked to be nonincreasing at every record and the run aborts with
     a numerical failure if it is not; ``allow_large_step=True`` skips both
-    the step-size check and that assertion.  The SNR is recorded at every
-    iteration; ``objective=False`` records nothing else.  A traced
-    run costs one ``op.normal`` product per iteration, plus a few
-    elementwise passes at each record: the fidelity and its gradient come
-    from the product the next step needs anyway, and the regularizer is
-    evaluated at the pre-denoise iterate, which is the denoised iterate's
-    pre-image, from the ``1 + e**gap`` block the denoising step left
-    behind, so no inversion and no second log-density evaluation runs.
+    the step-size check and that assertion.  The objective, its gradient
+    norm and the SNR are recorded at every iteration.  A run costs one
+    ``op.normal`` product per iteration, plus a few elementwise passes at
+    each record: the fidelity and its gradient come from the product the
+    next step needs anyway, and the regularizer is evaluated at the
+    pre-denoise iterate, which is the denoised iterate's pre-image, from
+    the ``1 + e**gap`` block the denoising step left behind, so no
+    inversion and no second log-density evaluation runs.
     """
-    group = _pnp_group(denoiser.prior, (denoiser.sigma,), gamma, objective)
+    group = _pnp_group(denoiser.prior, (denoiser.sigma,), gamma, True)
     return _ista(problem, gamma, [group], max_iter, allow_large_step)[0][0]
 
 
@@ -330,17 +330,16 @@ def lasso_ista(
     gamma: float,
     max_iter: int = 500,
     *,
-    objective: bool = True,
     allow_large_step: bool = False,
 ) -> SolverTrace:
     """ISTA on the l1-regularized least-squares objective.
 
     The proximal step is the componentwise soft threshold at ``gamma*lam``;
     the traced objective is ``0.5*|y - Hx|^2 + lam*|x|_1`` and is checked
-    to be nonincreasing under a valid step size; ``objective=False``
-    records only the SNR.  No gradient is traced.
+    to be nonincreasing under a valid step size.  The objective and the
+    SNR are recorded at every iteration; no gradient is traced.
     """
-    return _ista(problem, gamma, [_lasso_group((lam,), gamma, objective)], max_iter, allow_large_step)[0][0]
+    return _ista(problem, gamma, [_lasso_group((lam,), gamma)], max_iter, allow_large_step)[0][0]
 
 
 _GAMP_SLOPE_EPS = 1e-12
@@ -420,9 +419,9 @@ def gamp(
         v1 = 1.0 / prec_prior
         x_hat, tau_x = posterior_moments(prior, np.sqrt(v1), r_prior)
         if not (np.all(np.isfinite(x_hat)) and np.all(np.isfinite(tau_x))):
-            raise NumericalFailureError(f"non-finite state at iteration {t}", iteration=t)
+            raise NumericalFailureError(f"non-finite state at iteration {t}")
         if np.any(tau_x < 0.0):
-            raise NumericalFailureError(f"negative variance at iteration {t}", iteration=t)
+            raise NumericalFailureError(f"negative variance at iteration {t}")
 
         slope = min(max(float(np.mean(tau_x)) / v1, _GAMP_SLOPE_EPS), 1.0 - _GAMP_SLOPE_EPS)
         prec_lik = prec_prior * (1.0 - slope) / slope

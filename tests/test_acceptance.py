@@ -100,7 +100,7 @@ def tuned_lasso(shared_instances):
     for problem, gamma in shared_instances:
         lam_scale = float(np.max(np.abs(problem.operator.adjoint(problem.y))))
         lams = np.geomspace(1e-4, 1.0, 15) * lam_scale
-        [traces] = _ista(problem, gamma, [_lasso_group(lams, gamma, False)], 500, False)
+        [traces] = _ista(problem, gamma, [_lasso_group(lams, gamma)], 500, False)
         best.append(max(traces, key=lambda trace: trace.snr_db[-1]))
     return best
 

@@ -94,8 +94,13 @@ class TestConfig:
         ],
     )
     def test_invalid_configs_rejected(self, changes):
+        # a config is checked when it is built, so no invalid one can be returned
         with pytest.raises(ConfigurationError):
-            ExperimentConfig.from_dict(changes).validate()
+            ExperimentConfig.from_dict(changes)
+
+    def test_replace_checks_the_new_config(self):
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(ExperimentConfig(), trials=0)
 
     def test_largest_formable_n_validates(self):
         ExperimentConfig(n=2**30 - 1).validate()
@@ -193,13 +198,13 @@ class TestBatchedGridSearch:
         )
         pnp_single = [pnp_ista(problem, MmseDenoiser(prior, s), gamma, config.max_iter) for s in config.sigma_grid]
         [lasso_block] = solvers._ista(
-            problem, gamma, [solvers._lasso_group(lams, gamma, True)], config.max_iter, False
+            problem, gamma, [solvers._lasso_group(lams, gamma)], config.max_iter, False
         )
         lasso_single = [lasso_ista(problem, lam, gamma, config.max_iter) for lam in lams]
         # both grids as the two column groups of one block, as a trial runs them
         groups = [
             solvers._pnp_group(prior, config.sigma_grid, gamma, True),
-            solvers._lasso_group(lams, gamma, True),
+            solvers._lasso_group(lams, gamma),
         ]
         pnp_joint, lasso_joint = solvers._ista(problem, gamma, groups, config.max_iter, False)
         for block, single in [
