@@ -111,17 +111,18 @@ class _Levels:
     Holds each level's constants that do not depend on the input: the
     noise variance ``sigma**2``, the slab variance ``sigma_x**2 +
     sigma**2``, the slab gain, the slab's log normalizer
-    ``log(2*pi*(sigma_x**2 + sigma**2))/2``, and the log odds ``gap`` of
-    the spike against the slab at ``z = 0`` with their curvature in
+    ``log(2*pi*(sigma_x**2 + sigma**2))/2``, and the log odds ``gap0`` of
+    the spike against the slab at ``z = 0`` (``-inf`` at ``alpha = 1``,
+    which every formula takes as it comes) with their curvature in
     ``z``.  Every closed form in the package reads its log odds and log
     normalizer from here, and the constructor is the one place a level
     is checked: it raises :class:`ValueError` unless :func:`_usable_level`
     holds.
 
     The posterior mean of a block is one short chain of in-place passes.
-    That chain leaves the block ``spread = 1 + e**gap`` behind, and the
-    induced regularizer at the same inputs reads ``log(1 + e**gap)`` from
-    it instead of forming the log density again.  Overflows here are
+    That chain fills the block ``spread = 1 + e**gap``, and the induced
+    regularizer at the same inputs reads ``log(1 + e**gap)`` from it
+    instead of forming the log density again.  Overflows here are
     expected and exact (an ``e**gap`` beyond range is an infinite
     ``spread``, whose mean is 0), so callers run the methods under
     ``np.errstate(over="ignore")``.
@@ -138,22 +139,21 @@ class _Levels:
         self.curvature = self.gain / self.variance
         # a sum of logs: 2*pi*(sigma_x**2 + sigma**2) overflows once sigma is above about 5.3e153
         self.log_slab_norm = 0.5 * (math.log(2.0 * math.pi) + np.log(self.slab_variance))
-        # gap at z = 0, its largest value; None when alpha is 1 and there is no spike
-        self.gap0 = None
-        if prior.alpha < 1.0:
-            with np.errstate(over="ignore"):
-                log_ratio = np.log(self.slab_variance / self.variance)
-            # the ratio overflows once sigma is below about sigma_x / 1.3e154; the logs' difference does not,
-            # but it loses digits where the logs nearly cancel, so it takes over only there
-            if np.isinf(log_ratio).any():
-                log_ratio = np.where(np.isinf(log_ratio), np.log(self.slab_variance) - np.log(self.variance), log_ratio)
-            self.gap0 = math.log1p(-prior.alpha) - math.log(prior.alpha) + 0.5 * log_ratio
+        with np.errstate(over="ignore"):
+            log_ratio = np.log(self.slab_variance / self.variance)
+        # the ratio overflows once sigma is below about sigma_x / 1.3e154; the logs' difference does not,
+        # but it loses digits where the logs nearly cancel, so it takes over only there
+        if np.isinf(log_ratio).any():
+            log_ratio = np.where(np.isinf(log_ratio), np.log(self.slab_variance) - np.log(self.variance), log_ratio)
+        # gap at z = 0, its largest value; -inf when alpha is 1 and there is no spike
+        log_spike = math.log1p(-prior.alpha) if prior.alpha < 1.0 else -math.inf
+        self.gap0 = log_spike - math.log(prior.alpha) + 0.5 * log_ratio
 
     def _gap_into(self, z, out):
-        """``gap0 - 0.5*z*z*curvature`` into ``out``: ``-inf`` without a spike or where ``z*z`` overflows."""
-        if self.gap0 is None:
-            out.fill(-np.inf)
-            return out
+        """``gap0 - 0.5*z*z*curvature`` into ``out``: ``-inf`` without a spike or where ``z*z`` overflows.
+
+        It is ``nan`` instead where ``z*z`` overflows and the curvature underflowed to 0.
+        """
         np.multiply(z, 0.5, out=out)
         out *= z
         out *= self.curvature
@@ -188,7 +188,7 @@ class _Levels:
         """
         terms = np.log(spread)
         # gap is largest at z = 0; where e**gap overflowed, log(1 + e**gap) is gap to double precision
-        if self.gap0 is not None and np.max(self.gap0) > _EXP_LIMIT:
+        if np.max(self.gap0) > _EXP_LIMIT:
             np.copyto(terms, self._gap_into(u, np.empty_like(terms)), where=np.isinf(terms))
         nll0 = -math.log(self.alpha) + self.log_slab_norm
         np.subtract(nll0, terms, out=terms)

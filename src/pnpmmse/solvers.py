@@ -96,18 +96,18 @@ class _RunGroup:
 
     ``prox(Z, X)`` writes the prox of the group's ``width x n`` slice ``Z``
     of pre-denoise iterates into ``X``, so each run may carry its own
-    parameter.  A group with a ``penalty`` records its objective:
-    ``penalty(X, Z)`` returns the per-run regularizer values at ``X =
-    prox(Z)``, with ``Z`` the last slice the prox took.  A group with a
-    penalty and a ``gradient`` also records its gradient norm:
-    ``gradient(X, Z)`` returns the regularizer's gradient at the same
-    iterates.  Both may read what that prox call left behind, so a group
-    serves one block at a time.  A group with neither records only its SNR.
+    parameter, and returns what its penalty reads at those iterates.  A
+    group with a ``penalty`` records its objective: ``penalty(X, Z, left)``
+    returns the per-run regularizer values at ``X = prox(Z)``, given what
+    that prox call returned as ``left``.  A group with a penalty and a
+    ``gradient`` also records its gradient norm: ``gradient(X, Z)``
+    returns the regularizer's gradient at the same iterates.  A group with
+    neither records only its SNR.
     """
 
     prox: Callable[[np.ndarray, np.ndarray], object]
     width: int
-    penalty: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    penalty: Callable[[np.ndarray, np.ndarray, object], np.ndarray] | None = None
     gradient: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
@@ -167,7 +167,7 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
         g -= hty
         return g
 
-    def record(t, z, g):
+    def record(t, z, g, left):
         np.subtract(x, problem.x_true, out=err)
         block_snr = _capped_snr_db(ref_energy, np.einsum("ij,ij->i", err, err))
         _require_finite(block_snr, t, "SNR")
@@ -177,7 +177,7 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
             snr[i][t] = block_snr[r]
             if objective[i] is None:
                 continue
-            f = np.add(fidelity[r], group.penalty(x[r], z[r]), out=objective[i][t])
+            f = np.add(fidelity[r], group.penalty(x[r], z[r], left[i]), out=objective[i][t])
             _require_finite(f, t, "objective")
             if t == 0:
                 slack[r] = MONOTONE_RTOL * np.maximum(np.abs(f), 1e-300)
@@ -205,21 +205,18 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
             raise NumericalFailureError("non-finite measurement terms at iteration 0")
         g = gradient(x)
         # both proxes are odd, so the zero start is its own pre-image; the
-        # prox there also leaves what each penalty reads at the first record
+        # prox there also returns what each penalty reads at the first record
         z = np.zeros_like(x)
-        for group, r in zip(groups, rows):
-            group.prox(z[r], x[r])
-        record(0, z, g)
+        record(0, z, g, [group.prox(z[r], x[r]) for group, r in zip(groups, rows)])
         for t in range(1, max_iter + 1):
             # z = x - gamma * g, formed in g's buffer: g is not read again.
             # Both proxes map a non-finite input to a non-finite output, so
             # the iterate's check also catches a non-finite z.
             z = np.add(x, np.multiply(g, -gamma, out=g), out=g)
-            for group, r in zip(groups, rows):
-                group.prox(z[r], x[r])
+            left = [group.prox(z[r], x[r]) for group, r in zip(groups, rows)]
             _require_finite(x, t)
             g = gradient(x)
-            record(t, z, g)
+            record(t, z, g, left)
 
     # a copy, not a view: a trace kept alone must not hold its group's other runs' records
     def column(records, j):
@@ -234,19 +231,17 @@ def _ista(problem, gamma, groups, max_iter, allow_large_step):
 def _pnp_group(prior, sigmas, gamma, objective):
     """PnP-ISTA runs, one denoiser level per row; ``objective`` records it and its gradient norm.
 
-    The prox is the posterior mean, which leaves ``1 + e**gap`` behind;
-    the penalty at the same iterates reads the log density from there.
+    The prox is the posterior mean, which returns the ``1 + e**gap`` block
+    it fills; the penalty at the same iterates reads the log density from there.
     """
     levels = _Levels(prior, np.array(sigmas, dtype=float)[:, None])
-    # 1 + e**gap at the last prox call's input, which the penalty reads
-    spread = None
 
     def prox(z, out):
-        nonlocal spread
         spread = np.empty_like(z)
         levels.mean_into(z, out, spread)
+        return spread
 
-    def penalty(x, z):
+    def penalty(x, z, spread):
         return np.sum(levels.regularizer_terms(gamma, x, z, spread), axis=1)
 
     if not objective:
@@ -264,7 +259,7 @@ def _lasso_group(lams, gamma):
     with np.errstate(over="ignore"):
         tau_col = gamma * lam_row[:, None]
 
-    def penalty(x, z):
+    def penalty(x, z, left):
         return lam_row * np.sum(np.abs(x), axis=1)
 
     return _RunGroup(lambda z, out: _shrink_into(z, tau_col, out), len(lam_row), penalty)
@@ -291,7 +286,7 @@ def pnp_ista(
     each record: the fidelity and its gradient come from the product the
     next step needs anyway, and the regularizer is evaluated at the
     pre-denoise iterate, which is the denoised iterate's pre-image, from
-    the ``1 + e**gap`` block the denoising step left behind, so no
+    the ``1 + e**gap`` block the denoising step returned, so no
     inversion and no second log-density evaluation runs.
     """
     group = _pnp_group(denoiser.prior, (denoiser.sigma,), gamma, True)

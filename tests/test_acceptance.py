@@ -94,25 +94,28 @@ def descent_runs(shared_instances):
 
 
 @pytest.fixture(scope="module")
-def tuned_lasso(shared_instances):
-    """Each shared trial's LASSO run that ends at the highest SNR over the weight grid."""
-    best = []
+def tuned_blocks(shared_instances):
+    """Each shared trial's denoiser-level grid and LASSO-weight grid, run as one block as a trial runs them."""
+    prior = BernoulliGaussianPrior(SHARED_SETTING["alpha"])
+    sigmas = np.geomspace(0.01, 0.37, 9)
+    blocks = []
     for problem, gamma in shared_instances:
         lam_scale = float(np.max(np.abs(problem.operator.adjoint(problem.y))))
         lams = np.geomspace(1e-4, 1.0, 15) * lam_scale
-        [traces] = _ista(problem, gamma, [_lasso_group(lams, gamma)], 500, False)
-        best.append(max(traces, key=lambda trace: trace.snr_db[-1]))
-    return best
+        groups = [_pnp_group(prior, sigmas, gamma, False), _lasso_group(lams, gamma)]
+        blocks.append(_ista(problem, gamma, groups, 500, False))
+    return blocks
 
 
 @pytest.fixture(scope="module")
-def tuned_finals(shared_instances, tuned_lasso):
-    prior = BernoulliGaussianPrior(SHARED_SETTING["alpha"])
-    pnp_scores = []
-    for problem, gamma in shared_instances:
-        sigmas = np.geomspace(0.01, 0.37, 9)
-        [traces] = _ista(problem, gamma, [_pnp_group(prior, sigmas, gamma, False)], 500, False)
-        pnp_scores.append(max(trace.snr_db[-1] for trace in traces))
+def tuned_lasso(tuned_blocks):
+    """Each shared trial's LASSO run that ends at the highest SNR over the weight grid."""
+    return [max(lasso, key=lambda trace: trace.snr_db[-1]) for _, lasso in tuned_blocks]
+
+
+@pytest.fixture(scope="module")
+def tuned_finals(tuned_blocks, tuned_lasso):
+    pnp_scores = [max(trace.snr_db[-1] for trace in pnp) for pnp, _ in tuned_blocks]
     return np.array(pnp_scores), np.array([trace.snr_db[-1] for trace in tuned_lasso])
 
 

@@ -303,12 +303,13 @@ def pnp_block(draw):
 
 
 def run_pnp_group(prior, sigmas, gamma, z):
+    """The prox of ``z``, the group, and the ``1 + e**gap`` block its prox returned for the penalty."""
     group = solvers._pnp_group(prior, sigmas, gamma, True)
     x = np.empty_like(z)
     # the block runs its proxes where an overflowing z*z or e**gap is expected and exact
     with np.errstate(over="ignore"):
-        group.prox(z, x)
-    return x, group
+        spread = group.prox(z, x)
+    return x, group, spread
 
 
 class TestRunGroups:
@@ -321,7 +322,7 @@ class TestRunGroups:
     def test_pnp_prox_is_the_posterior_mean(self, block):
         # the same operations in the same order as posterior_moments, so the same bits
         prior, sigmas, gamma, z = block
-        x, _ = run_pnp_group(prior, sigmas, gamma, z)
+        x, _, _ = run_pnp_group(prior, sigmas, gamma, z)
         for sigma, xj, zj in zip(sigmas, x, z):
             np.testing.assert_array_equal(xj, posterior_moments(prior, sigma, zj)[0])
             np.testing.assert_array_equal(xj, posterior_mean(prior, sigma, zj))
@@ -334,9 +335,9 @@ class TestRunGroups:
     @example(block=(BernoulliGaussianPrior(1e-300, 1.0), [1e-10], 0.5, np.array([[0.0, 1e-10, 3e-9, 1e-8, 1.0]])))
     def test_pnp_penalty_is_the_induced_regularizer(self, block):
         prior, sigmas, gamma, z = block
-        x, group = run_pnp_group(prior, sigmas, gamma, z)
+        x, group, spread = run_pnp_group(prior, sigmas, gamma, z)
         with np.errstate(over="ignore", invalid="ignore"):
-            values, grads = group.penalty(x, z), group.gradient(x, z)
+            values, grads = group.penalty(x, z, spread), group.gradient(x, z)
             for sigma, value, grad, xj, zj in zip(sigmas, values, grads, x, z):
                 terms, expected_grad = _induced_terms(prior, sigma, gamma, xj, zj)
                 # the independent route: the prior's own negative log density
@@ -369,9 +370,24 @@ class TestRunGroups:
         # as in the denoiser tests, |z| spans 1e-3 to 1e2 * (sigma_x + sigma)
         prior = BernoulliGaussianPrior(alpha, sigma_x)
         z = (magnitude * np.array([1.0, -1.0, 1.0, -1.0]) * (sigma_x + sigma))[None, :]
-        x, group = run_pnp_group(prior, [sigma], gamma, z)
+        x, group, spread = run_pnp_group(prior, [sigma], gamma, z)
         value = InducedRegularizer(MmseDenoiser(prior, sigma), gamma).value(x[0])
-        assert abs(group.penalty(x, z)[0] - value) <= 1e-12 * max(1.0, abs(value))
+        assert abs(group.penalty(x, z, spread)[0] - value) <= 1e-12 * max(1.0, abs(value))
+
+    def test_each_penalty_reads_the_block_its_own_prox_call_returned(self):
+        # two prox calls of one group before either penalty: each slice's penalty must
+        # read its own 1 + e**gap block, not the one the later call filled
+        prior, sigmas, gamma = BernoulliGaussianPrior(0.1), [0.05, 0.4], 0.5
+        group = solvers._pnp_group(prior, sigmas, gamma, True)
+        z = np.random.default_rng(30).normal(0.0, 2.0, (2, 32))
+        x = np.empty_like(z)
+        halves = (slice(0, 16), slice(16, 32))
+        left = [group.prox(z[:, h], x[:, h]) for h in halves]
+        for h, spread in zip(halves, left):
+            values = group.penalty(x[:, h], z[:, h], spread)
+            for sigma, value, xj, zj in zip(sigmas, values, x[:, h], z[:, h]):
+                expected = np.sum(_induced_terms(prior, sigma, gamma, xj, zj)[0])
+                assert abs(value - expected) <= 1e-12 * abs(expected)
 
     @pytest.mark.parametrize("sigma", [1e-300, 1e-155, 1e155, math.inf, 0.0, -0.1, math.nan])
     def test_pnp_group_rejects_a_level_without_a_normal_square(self, sigma):
@@ -419,7 +435,7 @@ def stub_group(penalty=None, gradient=None, width=2):
 def counted(values):
     """A penalty or gradient returning ``values(call, x)`` on its ``call``-th call, counted from 0."""
     calls = itertools.count()
-    return lambda x, z: values(next(calls), x)
+    return lambda x, *_: values(next(calls), x)
 
 
 class TestRecords:
@@ -451,7 +467,7 @@ class TestRecords:
     def test_non_finite_gradient_norm_names_its_iteration(self, problem):
         gradient = counted(lambda call, x: np.full(x.shape, np.inf if call == 3 else 0.0))
         with pytest.raises(NumericalFailureError, match="non-finite gradient norm at iteration 3"):
-            self.run(problem, stub_group(lambda x, z: np.zeros(len(x)), gradient))
+            self.run(problem, stub_group(lambda x, z, left: np.zeros(len(x)), gradient))
 
     @staticmethod
     def held_bytes(problem, k, keep):

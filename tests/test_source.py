@@ -1,11 +1,14 @@
-"""Source hygiene: every name the package imports is used, and every private name it defines is referenced."""
+"""Source hygiene: every name the package imports is used, every private name it defines is
+referenced, and the README's library example runs as written."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pnpmmse"
+README = PACKAGE.parent.parent / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -86,3 +89,8 @@ def test_unreferenced_privates_are_found():
 def test_package_has_no_unreferenced_private_name():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+def test_readme_library_example_runs():
+    [example] = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    exec(compile(example, str(README), "exec"), {"__name__": "readme"})
